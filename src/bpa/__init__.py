@@ -54,9 +54,9 @@ from .profiles import (
     weak_order_oracle,
 )
 from .model_abstraction import (
+    Abstraction,
     AggSpec,
     InapplicableError,
-    SynthesisError,
     applicable,
     derive_ordering_relation,
     derive_profile,
@@ -66,6 +66,7 @@ from .model_abstraction import (
     ma_bpa,
     make_spec,
     modular_decomposition,
+    plan,
     relation_weights,
     synthesize,
     w_minmax,
@@ -79,9 +80,7 @@ from .miner import (
     discover,
 )
 from .event_abstraction import (
-    AbstractionContext,
     MatchingError,
-    context_for,
     delete_choice_activities,
     ea1,
     ea2,

@@ -16,7 +16,6 @@ import io
 import sys
 from pathlib import Path
 
-from .event_abstraction import MatchingError, context_for, ea1, ea2
 from .logs import (
     EventLog,
     dfg_of_log,
@@ -26,8 +25,8 @@ from .logs import (
     read_csv_log,
     write_csv_log,
 )
-from .miner import check_restricted, discover
-from .model_abstraction import applicable, load_agg_spec, ma_bpa
+from .miner import check_restricted
+from .model_abstraction import load_agg_spec, plan
 from .pipeline import roundtrip, verify
 from .profiles import behavioral_profile, graph_to_dot, order_relations_graph
 from .semantics import LogSizeError, minimal_log, ntl
@@ -215,12 +214,11 @@ def cmd_minlog(args) -> int:
 
 def cmd_abstract_model(args) -> int:
     tree = _read_tree(args.model)
-    spec = _load_spec(args.agg)
-    report = applicable(tree, spec)
-    if not report.in_class:
-        _print_violations(report, "aggregation not applicable")
+    abstraction = plan(tree, _load_spec(args.agg))
+    if not abstraction.report.in_class:
+        _print_violations(abstraction.report, "aggregation not applicable")
         return EXIT_GATE
-    abstracted = ma_bpa(tree, spec)
+    abstracted = abstraction.tree
     text, suffix = _tree_text(abstracted, args.format)
     _emit(args, f"abstract_model.{suffix}", text)
     print(f"size {size(tree)} -> {size(abstracted)}", file=sys.stderr)
@@ -229,17 +227,16 @@ def cmd_abstract_model(args) -> int:
 
 def cmd_abstract_log(args) -> int:
     log = _read_log(args, args.log)
-    spec = _load_spec(args.agg)
-    model = discover(log)
-    report = applicable(model, spec)
-    if not report.in_class:
-        _print_violations(report, "aggregation not applicable to the discovered model")
+    report = roundtrip(log, _load_spec(args.agg))
+    if not report.applicability.in_class:
+        _print_violations(
+            report.applicability, "aggregation not applicable to the discovered model"
+        )
         return EXIT_GATE
-    ctx = context_for(model, spec)
-    try:
-        abstracted = ea2(ea1(log, ctx), ctx.model)
-    except MatchingError as exc:
-        print(f"trace matching failed: {exc}", file=sys.stderr)
+    abstracted = report.abstract_log
+    if abstracted is None:  # stage-two matching failed
+        for line in report.failures:
+            print(line, file=sys.stderr)
         return EXIT_GATE
     text, suffix = _log_text(abstracted, args.format)
     _emit(args, f"abstract_log.{suffix}", text)

@@ -24,18 +24,10 @@ import networkx as nx
 
 from .logs import Event, EventLog, Trace
 from .miner import discover
-from .model_abstraction import (
-    AggSpec,
-    SynthesisError,
-    InapplicableError,
-    applicable,
-    derive_profile,
-    expand_spec,
-    synthesize,
-)
-from .profiles import CHOICE, PARALLEL, BehavioralProfile, behavioral_profile
+from .model_abstraction import AggSpec, Abstraction, InapplicableError, plan
+from .profiles import CHOICE, PARALLEL
 from .semantics import minimal_log
-from .trees import ProcessTree, activities, require_class
+from .trees import ProcessTree, require_class
 
 
 class MatchingError(RuntimeError):
@@ -89,56 +81,27 @@ def apply_transpositions(items: Sequence, transpositions: Iterable[int]) -> list
 # Stage one: per-trace aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbstractionContext:
-    """Everything stage one needs from the model side: the expanded
-    aggregation, the abstract profile, the abstracted model, and the split
-    of the abstract alphabet into new and kept names."""
-
-    spec: AggSpec
-    profile: BehavioralProfile
-    model: ProcessTree
-    new_names: frozenset[str]
-    kept_names: frozenset[str]
-
-
-def context_for(model: ProcessTree, spec: AggSpec) -> AbstractionContext:
-    alphabet = activities(model)
-    full = expand_spec(spec, alphabet)
-    abstract = derive_profile(behavioral_profile(model), full)
-    abstracted = synthesize(abstract)
-    if abstracted is None:
-        raise SynthesisError("abstract profile contains a primitive module")
-    new = frozenset(full.new_names(alphabet))
-    return AbstractionContext(
-        spec=full,
-        profile=abstract,
-        model=abstracted,
-        new_names=new,
-        kept_names=frozenset(full.agg) - new,
-    )
-
-
-def ea1(log: EventLog, ctx: AbstractionContext) -> EventLog:
+def ea1(log: EventLog, abstraction: Abstraction) -> EventLog:
     """Replace aggregated activities by abstract events, trace by trace,
     then break co-occurrence of choice-related abstract activities."""
     cover: dict[str, list[str]] = defaultdict(list)
-    for x in sorted(ctx.new_names):
-        for a in ctx.spec.agg[x]:
+    for x in sorted(abstraction.new_names):
+        for a in abstraction.spec.agg[x]:
             cover[a].append(x)
 
-    out = [_abstract_trace(trace, ctx, cover) for trace in log.traces()]
-    out = delete_choice_activities(out, ctx)
+    out = [_abstract_trace(trace, abstraction, cover) for trace in log.traces()]
+    out = delete_choice_activities(out, abstraction)
     result = EventLog(attrs_identity=True)
     for trace in out:
         result.add(trace)
     return result
 
 
-def _abstract_trace(trace: Trace, ctx: AbstractionContext, cover) -> Trace:
+def _abstract_trace(trace: Trace, abstraction: Abstraction, cover) -> Trace:
+    profile = abstraction.profile
     trace_acts = {e.activity for e in trace}
     kept_here = sorted(
-        a for a in trace_acts if a not in cover and a in ctx.profile.activities
+        a for a in trace_acts if a not in cover and a in profile.activities
     )
     handled: set[str] = set()
     out: list[Event] = []
@@ -151,37 +114,38 @@ def _abstract_trace(trace: Trace, ctx: AbstractionContext, cover) -> Trace:
             if x in handled:
                 continue
             handled.add(x)
-            if any(ctx.profile.relation(v, x) == CHOICE for v in kept_here):
+            if any(profile.relation(v, x) == CHOICE for v in kept_here):
                 continue  # a kept activity excludes x; drop it for good
-            concrete = ";".join(sorted(ctx.spec.agg[x] & trace_acts))
+            concrete = ";".join(sorted(abstraction.spec.agg[x] & trace_acts))
             abstract_event = Event(x, attrs=(("concrete", concrete),))
             out.append(abstract_event)
-            if ctx.profile.relation(x, x) == PARALLEL:
+            if profile.relation(x, x) == PARALLEL:
                 out.append(abstract_event)
     return tuple(out)
 
 
-def choice_sets(ctx: AbstractionContext) -> list[tuple[str, ...]]:
+def choice_sets(abstraction: Abstraction) -> list[tuple[str, ...]]:
     """Maximal sets of pairwise choice-related abstract activities (new
     names only); their members must not co-occur in any abstracted trace."""
+    new = abstraction.new_names
     g = nx.Graph()
-    g.add_nodes_from(ctx.new_names)
-    for x in ctx.new_names:
-        for y in ctx.new_names:
-            if x < y and ctx.profile.relation(x, y) == CHOICE:
+    g.add_nodes_from(new)
+    for x in new:
+        for y in new:
+            if x < y and abstraction.profile.relation(x, y) == CHOICE:
                 g.add_edge(x, y)
     cliques = [tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) >= 2]
     return sorted(cliques)
 
 
 def delete_choice_activities(
-    traces: list[Trace], ctx: AbstractionContext
+    traces: list[Trace], abstraction: Abstraction
 ) -> list[Trace]:
     """In traces where several members of a choice set co-occur, keep one
     member and delete the rest; the kept member rotates round-robin over
     offending traces so deletion frequencies stay balanced."""
     out = [list(t) for t in traces]
-    for members in choice_sets(ctx):
+    for members in choice_sets(abstraction):
         k = len(members)
         ptr = 0
         for i, trace in enumerate(out):
@@ -314,9 +278,7 @@ def _transpose_to(trace: Trace, witness: KendallResult) -> Trace:
 def ea_bpa(log: EventLog, spec: AggSpec) -> EventLog:
     """Discover a model from the log, abstract it, and abstract the log in
     sync with it."""
-    model = discover(log)
-    report = applicable(model, spec)
-    if not report.in_class:
-        raise InapplicableError(report)
-    ctx = context_for(model, spec)
-    return ea2(ea1(log, ctx), ctx.model)
+    abstraction = plan(discover(log), spec)
+    if not abstraction.report.in_class:
+        raise InapplicableError(abstraction.report)
+    return ea2(ea1(log, abstraction), abstraction.tree)

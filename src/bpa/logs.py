@@ -237,7 +237,12 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
     attr_cols = [c for c in reader.fieldnames if c.startswith("attr:")]
     special_cols = [c for c in ("concrete", "transposed") if c in reader.fieldnames]
     cases: dict[str, list] = {}
+    # a short row fills its missing trailing fields with None, so the later
+    # of the two required columns is missing whenever either one is
+    last = max("case", "activity", key=reader.fieldnames.index)
     for i, row in enumerate(reader):
+        if row[last] is None:
+            raise ValueError(f"CSV line {reader.line_num}: row has no '{last}' field")
         named = [(c[5:], row[c]) for c in attr_cols if row.get(c)]
         named += [(c, row[c]) for c in special_cols if row.get(c)]
         ev = Event(row["activity"], tuple(sorted(named)))

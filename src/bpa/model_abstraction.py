@@ -16,6 +16,9 @@ abstract names to sets of concrete activities, and a rational threshold
    a leaf in parallel self-relation -> self-loop).  Primitive modules have
    no corresponding operator, so synthesis fails on them.
 
+:func:`plan` runs the applicability gate and all three steps once, sharing
+one table of relation weights and one decomposition tree.
+
 All weights are exact ``Fraction`` values; threshold comparisons happen at
 boundary values like 1/2 and 5/9, where floats would betray us.
 """
@@ -25,7 +28,7 @@ import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Mapping
 
 import networkx as nx
@@ -38,7 +41,6 @@ from .profiles import (
     BehavioralProfile,
     OrderRelationsGraph,
     behavioral_profile,
-    mirror,
     order_relations_graph,
     profile_from_function,
 )
@@ -70,10 +72,6 @@ class InapplicableError(AbstractionError):
         details = "; ".join(f"{r}: {m}" for r, _, m in report.violations)
         super().__init__(f"aggregation not applicable: {details}")
         self.report = report
-
-
-class SynthesisError(AbstractionError):
-    """The abstract profile has no corresponding process tree."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +129,11 @@ def load_agg_spec(text: str) -> AggSpec:
     raw = json.loads(text)
     if not isinstance(raw, dict) or "w_t" not in raw:
         raise ValueError("aggregation spec needs a 'w_t' entry")
-    w_t = Fraction(str(raw.pop("w_t")))
+    value = str(raw.pop("w_t"))
+    try:
+        w_t = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"invalid w_t {value!r}: zero denominator") from None
     groups = {}
     for name, members in raw.items():
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
@@ -221,7 +223,10 @@ def derive_ordering_relation(
     inverse, parallel; below-threshold pairs default to parallel with a
     diagnostic (unreachable for thresholds within the applicable range)."""
     w_t = spec.w_t if w_t is None else Fraction(w_t)
-    w = relation_weights(x, y, profile, spec)
+    return _select(x, y, relation_weights(x, y, profile, spec), w_t)
+
+
+def _select(x: str, y: str, w: RelationWeights, w_t: Fraction) -> str:
     if w.choice >= w_t:
         return CHOICE
     if w.strict >= w_t:
@@ -239,18 +244,31 @@ def derive_ordering_relation(
     return PARALLEL
 
 
+_WeightTable = dict[tuple[str, str], RelationWeights]
+
+
+def _weight_table(profile: BehavioralProfile, spec: AggSpec) -> _WeightTable:
+    """Weights of every unordered abstract pair (self-pairs included), keyed
+    in lexicographic orientation."""
+    names = sorted(spec.agg)
+    if not names:
+        raise ValueError("empty aggregation")
+    return {
+        (x, y): relation_weights(x, y, profile, spec)
+        for i, x in enumerate(names)
+        for y in names[i:]
+    }
+
+
+def _minmax(table: _WeightTable) -> Fraction:
+    return min(w.w_max for w in table.values())
+
+
 def w_minmax(profile: BehavioralProfile, spec: AggSpec) -> Fraction:
     """min over abstract pairs (self-pairs included) of the maximum derived
     relation weight — the largest threshold for which every pair still
     reaches some relation."""
-    names = sorted(spec.agg)
-    if not names:
-        raise ValueError("empty aggregation")
-    return min(
-        relation_weights(x, y, profile, spec).w_max
-        for i, x in enumerate(names)
-        for y in names[i:]
-    )
+    return _minmax(_weight_table(profile, spec))
 
 
 def derive_profile(profile: BehavioralProfile, spec: AggSpec) -> BehavioralProfile:
@@ -259,16 +277,20 @@ def derive_profile(profile: BehavioralProfile, spec: AggSpec) -> BehavioralProfi
     Each unordered pair is derived once in lexicographic orientation and
     mirrored, which keeps the result consistent when strict and inverse
     weights tie."""
-    if spec.w_t > w_minmax(profile, spec):
+    table = _weight_table(profile, spec)
+    limit = _minmax(table)
+    if spec.w_t > limit:
         logger.warning(
-            "w_t=%s exceeds w_minmax=%s; the default branch may fire",
-            spec.w_t, w_minmax(profile, spec),
+            "w_t=%s exceeds w_minmax=%s; the default branch may fire", spec.w_t, limit
         )
+    return _derive(table, spec.w_t)
 
-    def derived(x: str, y: str) -> str:
-        return derive_ordering_relation(x, y, profile, spec)
 
-    return profile_from_function(spec.agg.keys(), derived)
+def _derive(table: _WeightTable, w_t: Fraction) -> BehavioralProfile:
+    return profile_from_function(
+        {x for x, _ in table},  # every name has its self-pair
+        lambda x, y: _select(x, y, table[(x, y)], w_t),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +450,10 @@ def _primitive_children(
 def synthesize(profile: BehavioralProfile) -> ProcessTree | None:
     """Tree whose behavioral profile equals the given one, or None when a
     primitive module makes the profile unrealizable."""
-    graph = order_relations_graph(profile)
-    mdt = modular_decomposition(graph)
+    return _synthesize(profile, modular_decomposition(order_relations_graph(profile)))
 
+
+def _synthesize(profile: BehavioralProfile, mdt: MDTNode) -> ProcessTree | None:
     def build(m: MDTNode) -> ProcessTree | None:
         if m.kind == "leaf":
             (x,) = m.members
@@ -456,12 +479,29 @@ def synthesize(profile: BehavioralProfile) -> ProcessTree | None:
 
 
 # ---------------------------------------------------------------------------
-# Applicability and the full abstraction
+# The abstraction plan: gate, abstract profile and abstracted tree at once
 # ---------------------------------------------------------------------------
 
-def applicable(model: ProcessTree, spec: AggSpec) -> ClassReport:
-    """Check the five applicability conditions; violations are reported,
-    not thrown."""
+@dataclass(frozen=True)
+class Abstraction:
+    """The model side of one abstraction, as computed by :func:`plan`.
+
+    ``spec`` is the expanded aggregation and ``report`` the applicability
+    gate.  ``profile`` is the derived abstract profile; it is present when
+    the gate passed or failed only on primitive modules.  ``tree`` is the
+    abstracted model, present exactly when the gate passed."""
+
+    spec: AggSpec
+    report: ClassReport
+    new_names: frozenset[str]
+    profile: BehavioralProfile | None = None
+    tree: ProcessTree | None = None
+
+
+def plan(model: ProcessTree, spec: AggSpec) -> Abstraction:
+    """Check the five applicability conditions and, as far as they allow,
+    derive the abstract profile and synthesize the abstracted tree.
+    Violations are reported, not thrown."""
     violations: list[tuple[str, str, str]] = []
 
     class_report = check_class(model, "C_c")
@@ -479,7 +519,7 @@ def applicable(model: ProcessTree, spec: AggSpec) -> ClassReport:
             ("agg-unknown-activity", "", f"group members not in the model: {sorted(unknown)}")
         )
 
-    new = full.new_names(alphabet)
+    new = frozenset(full.new_names(alphabet))
     kept = full.kept_names(alphabet)
     if not new:
         violations.append(("no-new-activity", "", "aggregation introduces no abstract activity"))
@@ -505,39 +545,37 @@ def applicable(model: ProcessTree, spec: AggSpec) -> ClassReport:
         violations.append(("threshold", "", f"w_t={spec.w_t} outside (0, 1]"))
 
     if violations:
-        return ClassReport.from_violations(violations)
+        return Abstraction(full, ClassReport.from_violations(violations), new)
 
-    concrete_profile = behavioral_profile(model)
-    limit = w_minmax(concrete_profile, full)
+    table = _weight_table(behavioral_profile(model), full)
+    limit = _minmax(table)
     if spec.w_t > limit:
         violations.append(
             ("threshold", "", f"w_t={spec.w_t} exceeds w_minmax={limit}")
         )
-        return ClassReport.from_violations(violations)
+        return Abstraction(full, ClassReport.from_violations(violations), new)
 
-    abstract = derive_profile(concrete_profile, full)
+    abstract = _derive(table, full.w_t)
     mdt = modular_decomposition(order_relations_graph(abstract))
     for n in mdt.iter_nodes():
         if n.kind == "primitive":
             violations.append(
                 ("primitive-module", "", f"primitive module over {sorted(n.members)}")
             )
-    return ClassReport.from_violations(violations)
+    report = ClassReport.from_violations(violations)
+    tree = _synthesize(abstract, mdt) if report.in_class else None
+    return Abstraction(full, report, new, abstract, tree)
 
 
-def abstract_profile(model: ProcessTree, spec: AggSpec) -> BehavioralProfile:
-    """Derived profile over the full (expanded) abstract alphabet."""
-    full = expand_spec(spec, activities(model))
-    return derive_profile(behavioral_profile(model), full)
+def applicable(model: ProcessTree, spec: AggSpec) -> ClassReport:
+    """The applicability report of :func:`plan`."""
+    return plan(model, spec).report
 
 
 def ma_bpa(model: ProcessTree, spec: AggSpec) -> ProcessTree:
-    """The full model abstraction; raises when inapplicable or when
-    synthesis fails."""
-    report = applicable(model, spec)
-    if not report.in_class:
-        raise InapplicableError(report)
-    tree = synthesize(abstract_profile(model, spec))
-    if tree is None:
-        raise SynthesisError("abstract profile contains a primitive module")
-    return tree
+    """The full model abstraction; raises :class:`InapplicableError` when
+    the aggregation is not applicable."""
+    abstraction = plan(model, spec)
+    if not abstraction.report.in_class:
+        raise InapplicableError(abstraction.report)
+    return abstraction.tree

@@ -19,15 +19,17 @@ from dataclasses import dataclass, field, replace
 from collections import Counter
 from fractions import Fraction
 
-from .event_abstraction import MatchingError, context_for, ea1, ea2
+from .event_abstraction import MatchingError, ea1, ea2
 from .logs import EventLog
 from .miner import check_restricted, discover
 from .model_abstraction import (
     AggSpec,
+    Abstraction,
     applicable,
     derive_profile,
     dump_agg_spec,
     expand_spec,
+    plan,
     w_minmax,
 )
 from .profiles import CHOICE, behavioral_profile
@@ -53,57 +55,40 @@ class RoundtripReport:
     model: ProcessTree
     restricted: bool
     restriction_report: ClassReport
-    applicability: ClassReport
-    abstract_model: ProcessTree | None = None
+    abstraction: Abstraction
     abstract_log: EventLog | None = None
     rediscovered: ProcessTree | None = None
     isomorphic: bool | None = None
     failures: tuple[str, ...] = ()
 
+    @property
+    def applicability(self) -> ClassReport:
+        return self.abstraction.report
+
+    @property
+    def abstract_model(self) -> ProcessTree | None:
+        return self.abstraction.tree
+
 
 def roundtrip(log: EventLog, spec: AggSpec) -> RoundtripReport:
     check = check_restricted(log)
-    model = check.tree
-    app = applicable(model, spec)
-    if not app.in_class:
-        return RoundtripReport(
-            model=model,
-            restricted=check.restricted,
-            restriction_report=check.report,
-            applicability=app,
-            failures=("aggregation not applicable to the discovered model",),
-        )
-
-    failures: list[str] = []
-    ctx = context_for(model, spec)
-    abstracted_model = ctx.model
-    stage_one = ea1(log, ctx)
+    abstraction = plan(check.tree, spec)
+    report = RoundtripReport(check.tree, check.restricted, check.report, abstraction)
+    if not abstraction.report.in_class:
+        return replace(report, failures=("aggregation not applicable to the discovered model",))
     try:
-        abstracted_log = ea2(stage_one, abstracted_model)
+        abstracted_log = ea2(ea1(log, abstraction), abstraction.tree)
     except MatchingError as exc:
-        return RoundtripReport(
-            model=model,
-            restricted=check.restricted,
-            restriction_report=check.report,
-            applicability=app,
-            abstract_model=abstracted_model,
-            failures=(f"trace matching failed: {exc}",),
-        )
+        return replace(report, failures=(f"trace matching failed: {exc}",))
 
     rediscovered = discover(abstracted_log)
-    iso = isomorphic(rediscovered, abstracted_model)
-    if not iso:
-        failures.append("rediscovered model is not isomorphic to the abstracted model")
-    return RoundtripReport(
-        model=model,
-        restricted=check.restricted,
-        restriction_report=check.report,
-        applicability=app,
-        abstract_model=abstracted_model,
+    iso = isomorphic(rediscovered, abstraction.tree)
+    return replace(
+        report,
         abstract_log=abstracted_log,
         rediscovered=rediscovered,
         isomorphic=iso,
-        failures=tuple(failures),
+        failures=() if iso else ("rediscovered model is not isomorphic to the abstracted model",),
     )
 
 
@@ -305,7 +290,7 @@ def verify(
         report = roundtrip(instance.log, instance.spec)
         summary.instances += 1
         if report.abstract_model is not None:
-            if _profile_realized(instance, report):
+            if _profile_realized(report):
                 summary.profile_checks += 1
             if _counts_match(report.abstract_model):
                 summary.count_checks += 1
@@ -316,16 +301,12 @@ def verify(
     return summary
 
 
-def _profile_realized(instance: Instance, report: RoundtripReport) -> bool:
+def _profile_realized(report: RoundtripReport) -> bool:
     """The abstracted model's own behavioral profile must equal the profile
     derived from the concrete one."""
-    derived = derive_profile(
-        behavioral_profile(report.model),
-        expand_spec(instance.spec, activities(report.model)),
-    )
     model = report.abstract_model
     assert model is not None
-    return behavioral_profile(model) == derived
+    return behavioral_profile(model) == report.abstraction.profile
 
 
 def _counts_match(abstract_model: ProcessTree) -> bool:

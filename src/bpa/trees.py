@@ -33,6 +33,14 @@ TAU_SYMBOL = "τ"
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
 
+#: Deepest operator nesting :func:`parse_tree` accepts.  The tree functions
+#: recurse once per level, using up to four stack frames each: at the
+#: default recursion limit of 1000 and called from a shallow stack,
+#: ``render_tree``, ``canonical`` and synthesis fail on chains of about 330
+#: nested operators, ``isomorphic`` on about 250.  The margin is left to the
+#: caller's own stack.
+MAX_TREE_DEPTH = 200
+
 
 class TreeSyntaxError(ValueError):
     """Raised by :func:`parse_tree` with a character position."""
@@ -124,7 +132,8 @@ def node(op: str, *children: ProcessTree) -> ProcessTree:
 # ---------------------------------------------------------------------------
 
 def parse_tree(text: str) -> ProcessTree:
-    """Parse the tree text grammar; raises :class:`TreeSyntaxError`."""
+    """Parse the tree text grammar; raises :class:`TreeSyntaxError`, also
+    for operators nested deeper than :data:`MAX_TREE_DEPTH`."""
     pos = 0
     n = len(text)
 
@@ -133,7 +142,7 @@ def parse_tree(text: str) -> ProcessTree:
             p += 1
         return p
 
-    def parse_node(p: int) -> tuple[ProcessTree, int]:
+    def parse_node(p: int, depth: int) -> tuple[ProcessTree, int]:
         p = skip_ws(p)
         m = _IDENT_RE.match(text, p)
         if not m:
@@ -141,13 +150,17 @@ def parse_tree(text: str) -> ProcessTree:
         word = m.group()
         p = m.end()
         if word in OPERATORS:
+            if depth == MAX_TREE_DEPTH:
+                raise TreeSyntaxError(
+                    f"operators nested deeper than {MAX_TREE_DEPTH} levels", m.start()
+                )
             p = skip_ws(p)
             if p >= n or text[p] != "(":
                 raise TreeSyntaxError(f"operator '{word}' requires '('", p)
             children = []
             p += 1
             while True:
-                child, p = parse_node(p)
+                child, p = parse_node(p, depth + 1)
                 children.append(child)
                 p = skip_ws(p)
                 if p < n and text[p] == ",":
@@ -164,7 +177,7 @@ def parse_tree(text: str) -> ProcessTree:
             return ProcessTree(TAU), p
         return ProcessTree(word), p
 
-    tree, pos = parse_node(pos)
+    tree, pos = parse_node(pos, 0)
     pos = skip_ws(pos)
     if pos != n:
         raise TreeSyntaxError("trailing input after tree", pos)

@@ -15,7 +15,7 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
-from bpa.event_abstraction import context_for, ea1, ea_bpa, kendall_distance
+from bpa.event_abstraction import ea1, ea_bpa, kendall_distance
 from bpa.logs import log_from_sequences
 from bpa.miner import check_restricted, discover
 from bpa.model_abstraction import (
@@ -24,6 +24,7 @@ from bpa.model_abstraction import (
     expand_spec,
     make_spec,
     modular_decomposition,
+    plan,
     relation_weights,
     w_minmax,
 )
@@ -216,7 +217,7 @@ def test_criterion_5_supporting_properties():
             assert isomorphic(discover(reference), abstract)
             # stage-one abstraction covers every reference bag with at
             # least as many traces, so a trace matching always exists
-            got = _signatures(ea1(inst.log, context_for(report.model, inst.spec)))
+            got = _signatures(ea1(inst.log, plan(report.model, inst.spec)))
             ref = _signatures(reference)
             assert set(got) == set(ref)
             assert all(got[key] >= ref[key] for key in ref)

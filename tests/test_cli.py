@@ -10,7 +10,9 @@ from bpa.cli import main
 from bpa.logs import format_compact, log_from_sequences
 from bpa.model_abstraction import dump_agg_spec
 from bpa.pipeline import GenParams, generate_instance
+from bpa.trees import MAX_TREE_DEPTH
 from conftest import CLAIMS_ABSTRACT, CLAIMS_GROUPS, build_claims_log
+from test_trees import nested
 
 
 @pytest.fixture()
@@ -188,3 +190,32 @@ def test_missing_file_is_an_error(capsys):
 def test_bad_tree_literal_is_an_error(capsys):
     assert main(["profile", "seq(a,"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_csv_row_without_activity_is_an_error(tmp_path, capsys):
+    path = tmp_path / "log.csv"
+    path.write_text("case,activity\nc1,a\nc1\n")
+    assert main(["discover", str(path)]) == 1
+    assert "error: CSV line 3" in capsys.readouterr().err
+
+
+def test_zero_denominator_threshold_is_an_error(tmp_path, capsys):
+    agg = tmp_path / "agg.json"
+    agg.write_text(json.dumps({"w_t": "1/0", "X": ["a", "b", "c"]}))
+    assert main(["abstract-model", "seq(a,b,c)", str(agg)]) == 1
+    assert "error: invalid w_t" in capsys.readouterr().err
+
+
+def test_minlog_accepts_trees_at_the_depth_limit(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text(nested(MAX_TREE_DEPTH))
+    assert main(["minlog", str(model)]) == 0
+    assert f"{MAX_TREE_DEPTH + 1} traces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 800])
+def test_trees_beyond_the_depth_limit_are_an_error(tmp_path, depth, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text(nested(depth))
+    assert main(["minlog", str(model)]) == 1
+    assert "error: operators nested deeper" in capsys.readouterr().err

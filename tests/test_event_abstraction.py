@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from bpa import make_spec
 from bpa.event_abstraction import (
-    AbstractionContext,
     MatchingError,
     apply_transpositions,
     choice_sets,
-    context_for,
     delete_choice_activities,
     ea1,
     ea2,
@@ -24,7 +22,7 @@ from bpa.event_abstraction import (
     quotient,
 )
 from bpa.logs import Event, EventLog, log_from_sequences
-from bpa.model_abstraction import InapplicableError
+from bpa.model_abstraction import InapplicableError, plan
 from bpa.trees import parse_tree
 from conftest import (
     CLAIMS_GROUPS,
@@ -147,12 +145,12 @@ def test_even_split_is_even(m, k):
 
 @pytest.fixture(scope="module")
 def claims_ctx():
-    return context_for(parse_tree(CLAIMS_MODEL), make_spec(CLAIMS_GROUPS, Fraction(1, 2)))
+    return plan(parse_tree(CLAIMS_MODEL), make_spec(CLAIMS_GROUPS, Fraction(1, 2)))
 
 
 def test_context_splits_the_abstract_alphabet(claims_ctx):
     assert claims_ctx.new_names == {"AB", "AC", "FDD"}
-    assert claims_ctx.kept_names == {"RBP", "RP", "SC", "AP"}
+    assert frozenset(claims_ctx.spec.agg) - claims_ctx.new_names == {"RBP", "RP", "SC", "AP"}
 
 
 def test_stage_one_collapses_every_complex_variant(claims_ctx):
@@ -210,7 +208,7 @@ XOR_GROUPS = {"X": ["x1", "x2", "x3"], "Y": ["y1", "y2", "y3"]}
 
 @pytest.fixture(scope="module")
 def xor_ctx():
-    return context_for(parse_tree(XOR_MODEL), make_spec(XOR_GROUPS, Fraction(1, 2)))
+    return plan(parse_tree(XOR_MODEL), make_spec(XOR_GROUPS, Fraction(1, 2)))
 
 
 def test_choice_sets_on_the_worked_example(claims_ctx):

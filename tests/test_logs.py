@@ -176,6 +176,15 @@ def test_csv_reader_requires_case_and_activity():
         read_csv_log(io.StringIO("foo,bar\n1,2\n"))
 
 
+@pytest.mark.parametrize(
+    "text, missing",
+    [("case,activity\nc1,a\nc1\n", "activity"), ("activity,case\na,c1\nb\n", "case")],
+)
+def test_csv_reader_names_the_line_of_a_short_row(text, missing):
+    with pytest.raises(ValueError, match=f"CSV line 3: row has no '{missing}' field"):
+        read_csv_log(io.StringIO(text))
+
+
 def test_csv_reader_orders_by_timestamp_then_file_order():
     text = (
         "case,activity,timestamp\n"

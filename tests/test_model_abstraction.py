@@ -14,7 +14,6 @@ from bpa.model_abstraction import (
     InapplicableError,
     MDTNode,
     RelationWeights,
-    abstract_profile,
     applicable,
     derive_ordering_relation,
     derive_profile,
@@ -24,6 +23,7 @@ from bpa.model_abstraction import (
     ma_bpa,
     make_spec,
     modular_decomposition,
+    plan,
     relation_weights,
     synthesize,
     w_minmax,
@@ -38,6 +38,7 @@ from bpa.profiles import (
     order_relations_graph,
     profile_from_function,
 )
+from bpa.pipeline import GenParams, generate_instance
 from bpa.trees import activities, isomorphic, parse_tree, render_tree, size
 from conftest import (
     CLAIMS_ABSTRACT,
@@ -100,6 +101,11 @@ def test_load_agg_spec_parses_fractional_threshold():
 def test_load_agg_spec_requires_threshold():
     with pytest.raises(ValueError, match="w_t"):
         load_agg_spec('{"X": ["a", "b"]}')
+
+
+def test_load_agg_spec_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        load_agg_spec('{"w_t": "1/0", "X": ["a", "b"]}')
 
 
 def test_load_agg_spec_rejects_non_list_groups():
@@ -252,7 +258,7 @@ def test_w_minmax_is_at_least_one_half(tree, rng):
 # ---------------------------------------------------------------------------
 
 def test_claims_abstract_profile_facts():
-    profile = abstract_profile(parse_tree(CLAIMS_MODEL), make_spec(CLAIMS_GROUPS, Fraction(1, 2)))
+    profile = plan(parse_tree(CLAIMS_MODEL), make_spec(CLAIMS_GROUPS, Fraction(1, 2))).profile
     assert profile.activities == {"RBP", "AB", "AC", "FDD", "SC", "RP", "AP"}
     assert profile.relation("AB", "AC") == STRICT
     assert profile.relation("AC", "FDD") == PARALLEL
@@ -301,7 +307,7 @@ def test_mdt_nested_modules():
 
 
 def test_mdt_primitive_detection():
-    profile = abstract_profile(parse_tree(N_MODEL), make_spec(N_GROUPS, Fraction(1, 2)))
+    profile = plan(parse_tree(N_MODEL), make_spec(N_GROUPS, Fraction(1, 2))).profile
     mdt = modular_decomposition(order_relations_graph(profile))
     assert mdt.kind == "primitive"
     assert mdt.has_primitive()
@@ -384,7 +390,7 @@ def test_synthesize_builds_self_loops_for_parallel_self_pairs():
 
 
 def test_synthesize_returns_none_on_primitive_profiles():
-    profile = abstract_profile(parse_tree(N_MODEL), make_spec(N_GROUPS, Fraction(1, 2)))
+    profile = plan(parse_tree(N_MODEL), make_spec(N_GROUPS, Fraction(1, 2))).profile
     assert synthesize(profile) is None
 
 
@@ -456,6 +462,39 @@ def test_applicable_threshold_above_w_minmax():
 
 def test_applicable_reports_primitive_modules():
     assert rules(N_MODEL, N_GROUPS, Fraction(1, 2)) == {"primitive-module"}
+
+
+# ---------------------------------------------------------------------------
+# The plan against the stepwise oracle: derive, then synthesize
+# ---------------------------------------------------------------------------
+
+def assert_plan_matches_the_oracle(model, spec):
+    abstraction = plan(model, spec)
+    derived = derive_profile(behavioral_profile(model), expand_spec(spec, activities(model)))
+    assert abstraction.report.in_class
+    assert abstraction.profile == derived
+    assert abstraction.tree == synthesize(derived)
+
+
+@pytest.mark.parametrize(
+    "model, groups, w_t",
+    [(CLAIMS_MODEL, CLAIMS_GROUPS, Fraction(1, 2)), (ORDERS_DESIGNED, ORDERS_GROUPS, Fraction(5, 9))],
+)
+def test_plan_matches_the_oracle_on_the_fixtures(model, groups, w_t):
+    assert_plan_matches_the_oracle(parse_tree(model), make_spec(groups, w_t))
+
+
+def test_plan_matches_the_oracle_on_the_criterion_corpus():
+    for seed in range(300):  # the acceptance criteria's corpus
+        inst = generate_instance(GenParams(seed=seed))
+        assert_plan_matches_the_oracle(inst.model, inst.spec)
+
+
+def test_plan_keeps_the_profile_of_a_primitive_abstraction():
+    abstraction = plan(parse_tree(N_MODEL), make_spec(N_GROUPS, Fraction(1, 2)))
+    assert [r for r, _, _ in abstraction.report.violations] == ["primitive-module"]
+    assert abstraction.profile is not None
+    assert abstraction.tree is None
 
 
 # ---------------------------------------------------------------------------

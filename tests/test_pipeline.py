@@ -1,5 +1,7 @@
 """Round trip (log -> model -> abstraction -> synchronized log ->
 rediscovery) and the randomized verifier around it."""
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,13 @@ import pytest
 from bpa import make_spec
 from bpa.logs import log_from_sequences
 from bpa.miner import check_restricted
-from bpa.model_abstraction import applicable, expand_spec, w_minmax
+from bpa.model_abstraction import (
+    applicable,
+    expand_spec,
+    modular_decomposition,
+    relation_weights,
+    w_minmax,
+)
 from bpa.pipeline import (
     GenParams,
     GenerationError,
@@ -85,6 +93,45 @@ def test_roundtrip_reports_matching_failures():
     assert report.isomorphic is None
     assert report.abstract_model is not None  # model abstraction itself worked
     assert report.abstract_log is None
+
+
+def record_calls(monkeypatch, fn) -> list[tuple]:
+    """Wrap ``fn`` at every ``bpa`` module attribute naming it and return
+    the list the positional arguments of its calls are appended to."""
+    calls: list[tuple] = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bpa" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, wrapper)
+    return calls
+
+
+def roundtrip_input(which: str):
+    if which == "claims":
+        return build_claims_log(), make_spec(CLAIMS_GROUPS, Fraction(1, 2))
+    if which == "orders":
+        return log_from_sequences(ORDERS_TRACES), make_spec(ORDERS_GROUPS, Fraction(5, 9))
+    inst = generate_instance(GenParams(seed=0))
+    return inst.log, inst.spec
+
+
+@pytest.mark.parametrize("which", ["claims", "orders", "generated"])
+def test_roundtrip_computes_the_model_side_once(monkeypatch, which):
+    log, spec = roundtrip_input(which)
+    profiles = record_calls(monkeypatch, behavioral_profile)
+    mdts = record_calls(monkeypatch, modular_decomposition)
+    weights = record_calls(monkeypatch, relation_weights)
+    report = roundtrip(log, spec)
+    assert report.isomorphic is True
+    assert [args[0] for args in profiles] == [report.model]
+    assert len(mdts) == 1
+    pairs = Counter(frozenset(args[:2]) for args in weights)
+    assert pairs and max(pairs.values()) == 1
+    assert set().union(*pairs) <= set(report.abstraction.spec.agg)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpa.profiles import behavioral_profile
+from bpa.semantics import minimal_log, ntl
 from bpa.trees import (
+    MAX_TREE_DEPTH,
     ClassViolationError,
     ProcessTree,
     TreeSyntaxError,
@@ -81,6 +84,29 @@ def test_parse_error_position_points_at_offence():
     with pytest.raises(TreeSyntaxError) as exc:
         parse_tree("seq(a,b")
     assert exc.value.position == 7
+
+
+def nested(depth: int, ops=("xor",)) -> str:
+    """``depth`` operators nested along one branch, a leaf beside each."""
+    return "".join(f"{ops[i % len(ops)]}(a{i}," for i in range(depth)) + "z" + ")" * depth
+
+
+@pytest.mark.parametrize("ops", [("xor",), ("seq",), ("xor", "seq")])
+def test_trees_at_the_depth_limit_work(ops):
+    text = nested(MAX_TREE_DEPTH, ops)
+    tree = parse_tree(text)
+    assert render_tree(tree) == text
+    assert isomorphic(canonical(tree), tree)
+    assert activities(normal_form(tree)) == activities(tree)
+    assert len(behavioral_profile(tree).activities) == MAX_TREE_DEPTH + 1
+    assert ntl(tree).tr == minimal_log(tree).num_traces
+
+
+def test_parse_rejects_trees_beyond_the_depth_limit():
+    text = nested(MAX_TREE_DEPTH + 1)
+    with pytest.raises(TreeSyntaxError, match="nested deeper") as exc:
+        parse_tree(text)
+    assert exc.value.position == text.index(f"xor(a{MAX_TREE_DEPTH},")
 
 
 @given(trees)
