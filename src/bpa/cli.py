@@ -124,9 +124,11 @@ def _read_log(args, path: str) -> EventLog:
 
 
 def _read_tree(arg: str):
-    p = Path(arg)
-    text = p.read_text() if p.is_file() else arg
-    return parse_tree(text.strip())
+    try:
+        is_file = Path(arg).is_file()
+    except OSError:  # a literal too long to be a file name
+        is_file = False
+    return parse_tree((Path(arg).read_text() if is_file else arg).strip())
 
 
 def _load_spec(path: str):

@@ -1,14 +1,17 @@
 """Event-log abstraction synchronized with model abstraction.
 
-The log is rewritten in two stages.  Stage one replaces, per trace, the
-events of each aggregated group by a single abstract event (doubled when
-the abstract activity is in parallel self-relation, dropped when a kept
-activity in the same trace is in choice relation with it) and then breaks
-co-occurrence of mutually exclusive abstract activities by a round-robin
-deletion.  Stage two redistributes the traces over the minimal log of the
-abstracted model: traces are grouped by activity multiset, matched to
-reference traces with the same multiset, and reordered by the fewest
-adjacent transpositions (Kendall tau distance), marking every moved event.
+The log is rewritten in two stages, both on trace variants with their
+multiplicities: the output depends on the variants and their counts only,
+so the work grows with the number of variants, not of traces.  Stage one
+replaces, in each variant, the events of each aggregated group by a single
+abstract event (doubled when the abstract activity is in parallel
+self-relation, dropped when a kept activity in the same trace is in choice
+relation with it) and then breaks co-occurrence of mutually exclusive
+abstract activities by a round-robin deletion over the traces.  Stage two
+redistributes the traces over the minimal log of the abstracted model:
+traces are grouped by activity multiset, matched to reference traces with
+the same multiset, and reordered by the fewest adjacent transpositions
+(Kendall tau distance), marking every moved event.
 
 Rediscovering a model from the abstracted log yields a tree isomorphic to
 the abstracted model, provided the log lies in the restricted class and
@@ -16,6 +19,8 @@ the aggregation is applicable.
 """
 from __future__ import annotations
 
+import functools
+import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -78,22 +83,21 @@ def apply_transpositions(items: Sequence, transpositions: Iterable[int]) -> list
 
 
 # ---------------------------------------------------------------------------
-# Stage one: per-trace aggregation
+# Stage one: aggregation per variant
 # ---------------------------------------------------------------------------
 
 def ea1(log: EventLog, abstraction: Abstraction) -> EventLog:
-    """Replace aggregated activities by abstract events, trace by trace,
+    """Replace aggregated activities by abstract events, once per variant,
     then break co-occurrence of choice-related abstract activities."""
     cover: dict[str, list[str]] = defaultdict(list)
     for x in sorted(abstraction.new_names):
         for a in abstraction.spec.agg[x]:
             cover[a].append(x)
 
-    out = [_abstract_trace(trace, abstraction, cover) for trace in log.traces()]
-    out = delete_choice_activities(out, abstraction)
+    runs = [(_abstract_trace(trace, abstraction, cover), n) for trace, n in log.variants()]
     result = EventLog(attrs_identity=True)
-    for trace in out:
-        result.add(trace)
+    for trace, n in delete_choice_activities(runs, abstraction):
+        result.add(trace, n)
     return result
 
 
@@ -139,52 +143,46 @@ def choice_sets(abstraction: Abstraction) -> list[tuple[str, ...]]:
 
 
 def delete_choice_activities(
-    traces: list[Trace], abstraction: Abstraction
-) -> list[Trace]:
+    runs: list[tuple[Trace, int]], abstraction: Abstraction
+) -> list[tuple[Trace, int]]:
     """In traces where several members of a choice set co-occur, keep one
     member and delete the rest; the kept member rotates round-robin over
-    offending traces so deletion frequencies stay balanced."""
-    out = [list(t) for t in traces]
-    for members in choice_sets(abstraction):
-        k = len(members)
-        ptr = 0
-        for i, trace in enumerate(out):
-            present = {e.activity for e in trace} & set(members)
-            if len(present) < 2:
-                continue
-            keeper = next(
-                members[(ptr + j) % k]
-                for j in range(k)
-                if members[(ptr + j) % k] in present
-            )
-            drop = set(members) - {keeper}
-            out[i] = [e for e in trace if e.activity not in drop]
-            ptr += 1
-    return [tuple(t) for t in out]
+    offending traces so deletion frequencies stay balanced.
+
+    Works on runs ``(trace, copies)``.  Each set's pointer advances once
+    per offending copy and matters only mod the set size, so the copies of
+    a run repeat with period P, the product of the sizes of the sets the
+    trace offends: copy i < min(copies, P) stands for i, i + P, i + 2P, ...
+    and, P copies leaving every pointer where it was, the pointers resume
+    from their values after copies mod P.
+    """
+    sets = choice_sets(abstraction)
+    ptrs = [0] * len(sets)
+    out: list[tuple[Trace, int]] = []
+    for trace, copies in runs:
+        acts = {e.activity for e in trace}
+        period = math.prod(len(m) for m in sets if len(acts.intersection(m)) >= 2)
+        resume = None
+        for i in range(min(copies, period)):
+            if i == copies % period:
+                resume = list(ptrs)
+            kept = trace
+            for j, members in enumerate(sets):
+                present = {e.activity for e in kept}.intersection(members)
+                if len(present) >= 2:
+                    p = ptrs[j] % len(members)
+                    keeper = next(x for x in members[p:] + members[:p] if x in present)
+                    kept = tuple(e for e in kept if e.activity == keeper or e.activity not in members)
+                    ptrs[j] += 1
+            out.append((kept, (copies - i - 1) // period + 1))
+        if resume is not None:
+            ptrs = resume
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Stage two: redistribution over the reference log
 # ---------------------------------------------------------------------------
-
-@dataclass
-class QuotientSet:
-    """One class of traces sharing an activity multiset, with original
-    positions preserved."""
-
-    signature: tuple[tuple[str, int], ...]
-    members: list[tuple[int, Trace]]
-
-
-def quotient(traces: Sequence[Trace]) -> list[QuotientSet]:
-    classes: dict[tuple, QuotientSet] = {}
-    for i, trace in enumerate(traces):
-        sig = tuple(sorted(Counter(e.activity for e in trace).items()))
-        if sig not in classes:
-            classes[sig] = QuotientSet(signature=sig, members=[])
-        classes[sig].members.append((i, trace))
-    return list(classes.values())
-
 
 def even_split_sizes(m: int, k: int) -> list[int]:
     """Split m items over k buckets as evenly as possible (larger buckets
@@ -200,64 +198,47 @@ def even_split_sizes(m: int, k: int) -> list[int]:
 def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
     """Distribute the stage-one traces over the minimal log of the
     abstracted model and reorder each by the fewest adjacent
-    transpositions."""
+    transpositions.  The copies of a variant are adjacent and equally far
+    from every reference, so the greedy choice (fewest transpositions, then
+    earliest trace) takes them as one block, by count."""
     require_class(model, "C_a")
-    reference = list(minimal_log(model).traces())
-    ref_classes = quotient(reference)
-    pool_classes = quotient(list(abstracted.traces()))
-
-    # distances within a class repeat across duplicate traces; memoize per
-    # (variant, reference) pair
-    witnesses: dict[tuple, KendallResult] = {}
-
-    def witness(acts: tuple[str, ...], ref_acts: tuple[str, ...]) -> KendallResult:
-        key = (acts, ref_acts)
-        if key not in witnesses:
-            witnesses[key] = kendall_distance(acts, ref_acts)
-        return witnesses[key]
-
-    used = [False] * len(ref_classes)
-    out: list[Trace] = []
-    for qa in pool_classes:
-        match = next(
-            (
-                ci
-                for ci, qt in enumerate(ref_classes)
-                if not used[ci] and qt.signature == qa.signature
-            ),
-            None,
-        )
-        if match is None:
-            acts = ", ".join(f"{a}:{n}" for a, n in qa.signature)
+    ref_classes: dict[tuple, list[tuple[str, ...]]] = {}
+    for ref, n in minimal_log(model).variants():
+        ref_acts = tuple(e.activity for e in ref)
+        ref_classes.setdefault(tuple(sorted(Counter(ref_acts).items())), []).extend([ref_acts] * n)
+    pool_classes: dict[tuple, list[list]] = {}
+    for index, (trace, n) in enumerate(abstracted.variants()):
+        acts = tuple(e.activity for e in trace)
+        pool_classes.setdefault(tuple(sorted(Counter(acts).items())), []).append([index, trace, acts, n])
+    witness = functools.cache(kendall_distance)  # variants may share a sequence
+    result = EventLog(attrs_identity=True)
+    for sig, remaining in pool_classes.items():
+        refs = ref_classes.pop(sig, None)
+        if refs is None:
+            acts = ", ".join(f"{a}:{n}" for a, n in sig)
             raise MatchingError(f"no reference trace with activities {{{acts}}}")
-        used[match] = True
-        qt = ref_classes[match]
-        m, k = len(qa.members), len(qt.members)
+        m, k = sum(item[3] for item in remaining), len(refs)
         if m < k:
             raise MatchingError(
                 f"{m} abstracted trace(s) cannot cover {k} reference trace(s) "
                 f"of the same activity multiset"
             )
-        sizes = even_split_sizes(m, k)
-        remaining = [
-            (i, trace, tuple(e.activity for e in trace)) for i, trace in qa.members
-        ]
-        for (_, ref_trace), n_j in zip(qt.members, sizes):
-            ref_acts = tuple(e.activity for e in ref_trace)
-            remaining.sort(
-                key=lambda item: (witness(item[2], ref_acts).distance, item[0])
-            )
-            take, remaining = remaining[:n_j], remaining[n_j:]
-            for _, trace, acts in sorted(take, key=lambda item: item[0]):
-                out.append(_transpose_to(trace, witness(acts, ref_acts)))
-    unmatched = [ref_classes[ci] for ci in range(len(ref_classes)) if not used[ci]]
-    if unmatched:
-        acts = ", ".join(f"{a}:{n}" for a, n in unmatched[0].signature)
+        for ref_acts, need in zip(refs, even_split_sizes(m, k)):
+            remaining.sort(key=lambda item: (witness(item[2], ref_acts).distance, item[0]))
+            taken = []  # (index, trace, acts, copies), a prefix of remaining
+            while need:
+                item = remaining[0]
+                n = min(need, item[3])
+                taken.append((*item[:3], n))
+                need -= n
+                item[3] -= n
+                if not item[3]:
+                    remaining.pop(0)
+            for _, trace, acts, n in sorted(taken):
+                result.add(_transpose_to(trace, witness(acts, ref_acts)), n)
+    if ref_classes:
+        acts = ", ".join(f"{a}:{n}" for a, n in next(iter(ref_classes)))
         raise MatchingError(f"reference traces with activities {{{acts}}} got no match")
-
-    result = EventLog(attrs_identity=True)
-    for trace in out:
-        result.add(trace)
     return result
 
 

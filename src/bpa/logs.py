@@ -22,8 +22,11 @@ Compact traces
 from __future__ import annotations
 
 import csv
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 START = "▷"  # artificial start node of the DFG
@@ -225,35 +228,46 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
 
     Required columns ``case`` and ``activity``; optional ``timestamp``
     (sorting key within a case, stable w.r.t. file order); every column
-    named ``attr:NAME`` becomes an event attribute ``NAME``.
+    named ``attr:NAME`` becomes an event attribute ``NAME``.  A row too
+    short for its case, activity or timestamp is a ``ValueError``.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
             return read_csv_log(fh, attrs_identity)
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None or "case" not in reader.fieldnames or "activity" not in reader.fieldnames:
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None or "case" not in header or "activity" not in header:
         raise ValueError("CSV log needs 'case' and 'activity' columns")
-    has_ts = "timestamp" in reader.fieldnames
-    attr_cols = [c for c in reader.fieldnames if c.startswith("attr:")]
-    special_cols = [c for c in ("concrete", "transposed") if c in reader.fieldnames]
+    col = {name: i for i, name in enumerate(header)}
+    ci, ai, ti = col["case"], col["activity"], col.get("timestamp")
+    required = sorted((col[c], c) for c in ("case", "activity", "timestamp") if c in col)
+    named = [(c[5:], col[c]) for c in header if c.startswith("attr:")]
+    named += [(c, col[c]) for c in ("concrete", "transposed") if c in col]
+    event_key = operator.itemgetter(ai, *(j for _, j in named))
+    ids: dict[object, int] = {}  # event key -> its Event's index in events
+    events: list[Event] = []
     cases: dict[str, list] = {}
-    # a short row fills its missing trailing fields with None, so the later
-    # of the two required columns is missing whenever either one is
-    last = max("case", "activity", key=reader.fieldnames.index)
-    for i, row in enumerate(reader):
-        if row[last] is None:
-            raise ValueError(f"CSV line {reader.line_num}: row has no '{last}' field")
-        named = [(c[5:], row[c]) for c in attr_cols if row.get(c)]
-        named += [(c, row[c]) for c in special_cols if row.get(c)]
-        ev = Event(row["activity"], tuple(sorted(named)))
-        ts = row.get("timestamp", "") if has_ts else ""
-        cases.setdefault(row["case"], []).append((ts, i, ev))
+    for row in reader:
+        if len(row) < len(header):
+            if not row:
+                continue
+            missing = [c for i, c in required if i >= len(row)]
+            if missing:
+                raise ValueError(f"CSV line {reader.line_num}: row has no '{missing[0]}' field")
+            row += [""] * (len(header) - len(row))
+        eid = ids.setdefault(event_key(row), len(events))
+        if eid == len(events):
+            events.append(Event(row[ai], tuple(sorted((k, row[j]) for k, j in named if row[j]))))
+        if ti is not None:
+            eid = (_timestamp_key(row[ti]), reader.line_num, eid)
+        cases.setdefault(row[ci], []).append(eid)
+    variants = Counter(
+        tuple(rows) if ti is None else tuple(eid for *_, eid in sorted(rows))
+        for rows in cases.values()
+    )
     log = EventLog(attrs_identity=attrs_identity)
-    for case in cases:
-        rows = cases[case]
-        if has_ts:
-            rows.sort(key=lambda r: (_timestamp_key(r[0]), r[1]))
-        log.add([ev for _, _, ev in rows])
+    for seq, count in variants.items():
+        log.add(tuple(events[i] for i in seq), count)
     return log
 
 
@@ -275,20 +289,20 @@ def write_csv_log(log: EventLog, target) -> None:
     attr_names = sorted(
         {k for t, _ in log.variants() for e in t for k, _ in e.attrs if k not in special}
     )
-    fields = ["case", "activity", *special, *(f"attr:{a}" for a in attr_names)]
-    writer = csv.DictWriter(target, fieldnames=fields)
-    writer.writeheader()
+    columns = (*special, *attr_names)
+    csv.writer(target).writerow(["case", "activity", *special, *(f"attr:{a}" for a in attr_names)])
+    # each variant's rows are rendered once, without the case column, then
+    # written under one case id per copy ("c<n>" never needs quoting)
+    lines: list[str] = []
+    row_writer = csv.writer(SimpleNamespace(write=lines.append))
     case_no = 0
     for trace, count in log.variants():
-        for _ in range(count):
-            case_no += 1
-            for ev in trace:
-                row = {"case": f"c{case_no}", "activity": ev.activity}
-                for s in special:
-                    row[s] = ev.get(s, "")
-                for a in attr_names:
-                    row[f"attr:{a}"] = ev.get(a, "")
-                writer.writerow(row)
+        lines.clear()
+        row_writer.writerows([ev.activity, *(ev.get(c, "") for c in columns)] for ev in trace)
+        if lines:
+            for n in range(case_no + 1, case_no + count + 1):
+                target.write(f"c{n}," + f"c{n},".join(lines))
+        case_no += count
 
 
 # ---------------------------------------------------------------------------

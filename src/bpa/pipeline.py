@@ -33,7 +33,7 @@ from .model_abstraction import (
     w_minmax,
 )
 from .profiles import CHOICE, behavioral_profile
-from .semantics import LogSizeError, minimal_log, ntl
+from .semantics import DEFAULT_TRACE_CAP, LogSizeError, minimal_log, ntl
 from .trees import (
     ClassReport,
     ProcessTree,
@@ -312,9 +312,11 @@ def _profile_realized(report: RoundtripReport) -> bool:
 def _counts_match(abstract_model: ProcessTree) -> bool:
     """Trace count and length distribution of the minimal log must match
     the predicted values."""
-    predicted = ntl(abstract_model)
+    predicted = ntl(abstract_model, trace_cap=DEFAULT_TRACE_CAP)
     actual = minimal_log(abstract_model)
-    lengths = Counter(len(t) for t in actual.traces())
+    lengths = Counter()
+    for trace, n in actual.variants():
+        lengths[len(trace)] += n
     return (
         actual.num_traces == predicted.tr
         and actual.num_events == predicted.size

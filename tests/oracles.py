@@ -1,0 +1,206 @@
+"""Trace-by-trace reference implementations of the log side.
+
+``bpa`` reads, abstracts and writes logs per variant, with multiplicities.
+The functions here do the same work one trace at a time, expanding every
+multiplicity, which is the direct reading of the algorithms; the tests
+require the library's outputs to equal theirs, variant order, attributes
+and CSV bytes included.
+"""
+from __future__ import annotations
+
+import csv
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from typing import Sequence
+
+from bpa.event_abstraction import (
+    MatchingError,
+    KendallResult,
+    _abstract_trace,
+    _transpose_to,
+    choice_sets,
+    even_split_sizes,
+    kendall_distance,
+)
+from bpa.logs import Event, EventLog, Trace
+from bpa.model_abstraction import Abstraction
+from bpa.semantics import minimal_log
+from bpa.trees import ProcessTree, require_class
+
+
+# ---------------------------------------------------------------------------
+# Stage one
+# ---------------------------------------------------------------------------
+
+def ea1(log: EventLog, abstraction: Abstraction) -> EventLog:
+    cover: dict[str, list[str]] = defaultdict(list)
+    for x in sorted(abstraction.new_names):
+        for a in abstraction.spec.agg[x]:
+            cover[a].append(x)
+
+    out = [_abstract_trace(trace, abstraction, cover) for trace in log.traces()]
+    out = delete_choice_activities(out, abstraction)
+    result = EventLog(attrs_identity=True)
+    for trace in out:
+        result.add(trace)
+    return result
+
+
+def delete_choice_activities(traces: list[Trace], abstraction: Abstraction) -> list[Trace]:
+    out = [list(t) for t in traces]
+    for members in choice_sets(abstraction):
+        k = len(members)
+        ptr = 0
+        for i, trace in enumerate(out):
+            present = {e.activity for e in trace} & set(members)
+            if len(present) < 2:
+                continue
+            keeper = next(
+                members[(ptr + j) % k]
+                for j in range(k)
+                if members[(ptr + j) % k] in present
+            )
+            drop = set(members) - {keeper}
+            out[i] = [e for e in trace if e.activity not in drop]
+            ptr += 1
+    return [tuple(t) for t in out]
+
+
+# ---------------------------------------------------------------------------
+# Stage two
+# ---------------------------------------------------------------------------
+
+@dataclass
+class QuotientSet:
+    """One class of traces sharing an activity multiset, with original
+    positions preserved."""
+
+    signature: tuple[tuple[str, int], ...]
+    members: list[tuple[int, Trace]]
+
+
+def quotient(traces: Sequence[Trace]) -> list[QuotientSet]:
+    classes: dict[tuple, QuotientSet] = {}
+    for i, trace in enumerate(traces):
+        sig = tuple(sorted(Counter(e.activity for e in trace).items()))
+        if sig not in classes:
+            classes[sig] = QuotientSet(signature=sig, members=[])
+        classes[sig].members.append((i, trace))
+    return list(classes.values())
+
+
+def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
+    require_class(model, "C_a")
+    reference = list(minimal_log(model).traces())
+    ref_classes = quotient(reference)
+    pool_classes = quotient(list(abstracted.traces()))
+
+    witnesses: dict[tuple, KendallResult] = {}
+
+    def witness(acts: tuple[str, ...], ref_acts: tuple[str, ...]) -> KendallResult:
+        key = (acts, ref_acts)
+        if key not in witnesses:
+            witnesses[key] = kendall_distance(acts, ref_acts)
+        return witnesses[key]
+
+    used = [False] * len(ref_classes)
+    out: list[Trace] = []
+    for qa in pool_classes:
+        match = next(
+            (
+                ci
+                for ci, qt in enumerate(ref_classes)
+                if not used[ci] and qt.signature == qa.signature
+            ),
+            None,
+        )
+        if match is None:
+            acts = ", ".join(f"{a}:{n}" for a, n in qa.signature)
+            raise MatchingError(f"no reference trace with activities {{{acts}}}")
+        used[match] = True
+        qt = ref_classes[match]
+        m, k = len(qa.members), len(qt.members)
+        if m < k:
+            raise MatchingError(
+                f"{m} abstracted trace(s) cannot cover {k} reference trace(s) "
+                f"of the same activity multiset"
+            )
+        sizes = even_split_sizes(m, k)
+        remaining = [
+            (i, trace, tuple(e.activity for e in trace)) for i, trace in qa.members
+        ]
+        for (_, ref_trace), n_j in zip(qt.members, sizes):
+            ref_acts = tuple(e.activity for e in ref_trace)
+            remaining.sort(
+                key=lambda item: (witness(item[2], ref_acts).distance, item[0])
+            )
+            take, remaining = remaining[:n_j], remaining[n_j:]
+            for _, trace, acts in sorted(take, key=lambda item: item[0]):
+                out.append(_transpose_to(trace, witness(acts, ref_acts)))
+    unmatched = [ref_classes[ci] for ci in range(len(ref_classes)) if not used[ci]]
+    if unmatched:
+        acts = ", ".join(f"{a}:{n}" for a, n in unmatched[0].signature)
+        raise MatchingError(f"reference traces with activities {{{acts}}} got no match")
+
+    result = EventLog(attrs_identity=True)
+    for trace in out:
+        result.add(trace)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# CSV
+# ---------------------------------------------------------------------------
+
+def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
+    reader = csv.DictReader(source)
+    if reader.fieldnames is None or "case" not in reader.fieldnames or "activity" not in reader.fieldnames:
+        raise ValueError("CSV log needs 'case' and 'activity' columns")
+    has_ts = "timestamp" in reader.fieldnames
+    attr_cols = [c for c in reader.fieldnames if c.startswith("attr:")]
+    special_cols = [c for c in ("concrete", "transposed") if c in reader.fieldnames]
+    cases: dict[str, list] = {}
+    last = max("case", "activity", key=reader.fieldnames.index)
+    for i, row in enumerate(reader):
+        if row[last] is None:
+            raise ValueError(f"CSV line {reader.line_num}: row has no '{last}' field")
+        named = [(c[5:], row[c]) for c in attr_cols if row.get(c)]
+        named += [(c, row[c]) for c in special_cols if row.get(c)]
+        ev = Event(row["activity"], tuple(sorted(named)))
+        ts = row.get("timestamp", "") if has_ts else ""
+        cases.setdefault(row["case"], []).append((ts, i, ev))
+    log = EventLog(attrs_identity=attrs_identity)
+    for case in cases:
+        rows = cases[case]
+        if has_ts:
+            rows.sort(key=lambda r: (_timestamp_key(r[0]), r[1]))
+        log.add([ev for _, _, ev in rows])
+    return log
+
+
+def _timestamp_key(ts: str):
+    try:
+        return (0, float(ts))
+    except ValueError:
+        return (1, ts)
+
+
+def write_csv_log(log: EventLog, target) -> None:
+    special = ("concrete", "transposed")
+    attr_names = sorted(
+        {k for t, _ in log.variants() for e in t for k, _ in e.attrs if k not in special}
+    )
+    fields = ["case", "activity", *special, *(f"attr:{a}" for a in attr_names)]
+    writer = csv.DictWriter(target, fieldnames=fields)
+    writer.writeheader()
+    case_no = 0
+    for trace, count in log.variants():
+        for _ in range(count):
+            case_no += 1
+            for ev in trace:
+                row = {"case": f"c{case_no}", "activity": ev.activity}
+                for s in special:
+                    row[s] = ev.get(s, "")
+                for a in attr_names:
+                    row[f"attr:{a}"] = ev.get(a, "")
+                writer.writerow(row)

@@ -199,6 +199,20 @@ def test_csv_row_without_activity_is_an_error(tmp_path, capsys):
     assert "error: CSV line 3" in capsys.readouterr().err
 
 
+def test_csv_row_without_timestamp_is_an_error(tmp_path, capsys):
+    path = tmp_path / "log.csv"
+    path.write_text("case,activity,timestamp\nc1,a,1\nc1,b\n")
+    assert main(["discover", str(path)]) == 1
+    assert "error: CSV line 3: row has no 'timestamp' field" in capsys.readouterr().err
+
+
+def test_long_tree_literals_are_parsed(capsys):
+    literal = f"seq({','.join(f'a{i}' for i in range(80))})"
+    assert len(literal) > 300  # longer than a file name may be
+    assert main(["minlog", literal]) == 0
+    assert "1 traces, 80 events" in capsys.readouterr().err
+
+
 def test_zero_denominator_threshold_is_an_error(tmp_path, capsys):
     agg = tmp_path / "agg.json"
     agg.write_text(json.dumps({"w_t": "1/0", "X": ["a", "b", "c"]}))

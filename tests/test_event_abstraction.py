@@ -19,10 +19,10 @@ from bpa.event_abstraction import (
     ea_bpa,
     even_split_sizes,
     kendall_distance,
-    quotient,
 )
 from bpa.logs import Event, EventLog, log_from_sequences
 from bpa.model_abstraction import InapplicableError, plan
+from bpa.semantics import minimal_log
 from bpa.trees import parse_tree
 from conftest import (
     CLAIMS_GROUPS,
@@ -31,6 +31,7 @@ from conftest import (
     ORDERS_TRACES,
     build_claims_log,
 )
+from oracles import quotient
 
 
 def acts(trace) -> tuple[str, ...]:
@@ -222,7 +223,7 @@ def test_choice_sets_cover_exclusive_aggregations(xor_ctx):
 
 def test_round_robin_deletion_alternates_the_keeper(xor_ctx):
     conflicted = [(Event("X"), Event("Y"))] * 4
-    out = delete_choice_activities(conflicted, xor_ctx)
+    out = [t for t, _ in delete_choice_activities([(t, 1) for t in conflicted], xor_ctx)]
     assert [acts(t) for t in out] == [("X",), ("Y",), ("X",), ("Y",)]
 
 
@@ -233,13 +234,13 @@ def test_round_robin_keeper_falls_forward_when_absent(xor_ctx):
         (Event("X"), Event("Y")),   # keeper Y
         (Event("X"), Event("Y")),   # keeper X again
     ]
-    out = delete_choice_activities(traces, xor_ctx)
+    out = [t for t, _ in delete_choice_activities([(t, 1) for t in traces], xor_ctx)]
     assert [acts(t) for t in out] == [("X",), ("Y",), ("Y",), ("X",)]
 
 
 def test_deletion_balances_frequencies(xor_ctx):
     conflicted = [(Event("X"), Event("Y"))] * 10
-    out = delete_choice_activities(conflicted, xor_ctx)
+    out = [t for t, _ in delete_choice_activities([(t, 1) for t in conflicted], xor_ctx)]
     counts = Counter(a for t in out for a in acts(t))
     assert counts == {"X": 5, "Y": 5}
 
@@ -329,3 +330,35 @@ def test_empty_traces_cannot_be_matched():
     spec = make_spec({"X": ["a", "b"], "Y": ["c", "d"]}, Fraction(1, 2))
     with pytest.raises((MatchingError, InapplicableError)):
         ea_bpa(log, spec)
+
+
+# ---------------------------------------------------------------------------
+# Work per variant, not per trace
+# ---------------------------------------------------------------------------
+
+def test_stages_work_once_per_variant(monkeypatch):
+    import bpa.event_abstraction as ea
+
+    log = EventLog()
+    for trace, n in build_claims_log().variants():
+        log.add(trace, 1000 * n)
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(ea, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(ea, name, wrapper)
+
+    counted("_abstract_trace")
+    counted("kendall_distance")
+    abstraction = plan(parse_tree(CLAIMS_MODEL), make_spec(CLAIMS_GROUPS, Fraction(1, 2)))
+    stage_one = ea1(log, abstraction)
+    assert calls["_abstract_trace"] == len(log.variants()) == 29
+    out = ea2(stage_one, abstraction.tree)
+    assert out.num_traces == 46_000
+    references = minimal_log(abstraction.tree).num_traces
+    assert 0 < calls["kendall_distance"] <= len(stage_one.variants()) * references

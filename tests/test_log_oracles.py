@@ -1,0 +1,250 @@
+"""The log side against its trace-by-trace oracles (``oracles.py``):
+stage one, stage two, CSV reading and CSV writing must give identical
+outputs, variant order, attributes and CSV bytes included."""
+import csv
+import io
+import random
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from bpa import make_spec
+from bpa.event_abstraction import MatchingError, choice_sets, ea1, ea2
+from bpa.logs import Event, EventLog, read_csv_log, write_csv_log
+from bpa.miner import discover
+from bpa.model_abstraction import plan
+from bpa.pipeline import GenParams, generate_instance
+from bpa.trees import parse_tree
+from conftest import CLAIMS_GROUPS, ORDERS_GROUPS, ORDERS_TRACES, build_claims_log
+from test_acceptance import CORPUS_SIZE
+
+FIXTURES = {
+    "claims": (build_claims_log, make_spec(CLAIMS_GROUPS, Fraction(1, 2))),
+    "orders": (lambda: EventLog(ORDERS_TRACES), make_spec(ORDERS_GROUPS, Fraction(5, 9))),
+}
+
+
+def scaled(log: EventLog, factor: int) -> EventLog:
+    out = EventLog(attrs_identity=log.attrs_identity)
+    for trace, n in log.variants():
+        out.add(trace, n * factor)
+    return out
+
+
+def as_csv(log: EventLog, writer=write_csv_log) -> str:
+    buf = io.StringIO()
+    writer(log, buf)
+    return buf.getvalue()
+
+
+def shuffled_csv(log: EventLog, seed: int) -> str:
+    """The log's traces as CSV cases in a seeded order."""
+    cases = list(log.traces())
+    random.Random(seed).shuffle(cases)
+    out = ["case,activity,concrete\r\n"]
+    for i, trace in enumerate(cases):
+        out += [f"k{i},{e.activity},{e.get('concrete', '')}\r\n" for e in trace]
+    return "".join(out)
+
+
+def assert_same_log(got: EventLog, want: EventLog) -> None:
+    assert got.variants() == want.variants()
+    assert got.attrs_identity == want.attrs_identity
+
+
+def assert_same_abstraction(log: EventLog, spec) -> EventLog:
+    """Both stages and the CSV writer against the oracles; returns the
+    abstracted log."""
+    abstraction = plan(discover(log), spec)
+    assert abstraction.report.in_class
+    stage_one = ea1(log, abstraction)
+    assert_same_log(stage_one, oracles.ea1(log, abstraction))
+    stage_two = ea2(stage_one, abstraction.tree)
+    assert_same_log(stage_two, oracles.ea2(stage_one, abstraction.tree))
+    assert as_csv(stage_two) == as_csv(stage_two, oracles.write_csv_log)
+    return stage_two
+
+
+# ---------------------------------------------------------------------------
+# The fixtures, scaled
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("factor", [1, 10, 1000])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixtures_match_the_oracles(name, factor):
+    build, spec = FIXTURES[name]
+    log = scaled(build(), factor)
+    abstracted = assert_same_abstraction(log, spec)
+    assert abstracted.num_traces == log.num_traces
+
+    text = shuffled_csv(log, seed=factor)
+    got = read_csv_log(io.StringIO(text))
+    assert_same_log(got, oracles.read_csv_log(io.StringIO(text)))
+    assert as_csv(log) == as_csv(log, oracles.write_csv_log)
+
+
+def test_criterion_corpus_matches_the_oracles():
+    for seed in range(CORPUS_SIZE):
+        inst = generate_instance(GenParams(seed=seed))
+        assert_same_abstraction(inst.log, inst.spec)
+
+
+# ---------------------------------------------------------------------------
+# Round-robin deletion over runs of copies
+# ---------------------------------------------------------------------------
+
+#: two disjoint choice sets, {X, Y} (k = 2) and {U, V, W} (k = 3)
+DISJOINT_MODEL = (
+    "and(xor(seq(a1,a2),seq(b1,b2)),xor(seq(c1,c2),seq(d1,d2),seq(e1,e2)))"
+)
+DISJOINT_GROUPS = {
+    "X": ["a1", "a2"], "Y": ["b1", "b2"],
+    "U": ["c1", "c2"], "V": ["d1", "d2"], "W": ["e1", "e2"],
+}
+#: two choice sets sharing Y: {X, Y} and {Y, Z}, since X precedes Z
+OVERLAP_MODEL = "xor(seq(a1,a2,c1,c2),seq(b1,b2))"
+OVERLAP_GROUPS = {"X": ["a1", "a2"], "Z": ["c1", "c2"], "Y": ["b1", "b2"]}
+
+
+@pytest.fixture(scope="module")
+def disjoint():
+    return plan(parse_tree(DISJOINT_MODEL), make_spec(DISJOINT_GROUPS, Fraction(1, 2)))
+
+
+@pytest.fixture(scope="module")
+def overlap():
+    return plan(parse_tree(OVERLAP_MODEL), make_spec(OVERLAP_GROUPS, Fraction(1, 2)))
+
+
+def test_crafted_choice_sets(disjoint, overlap):
+    assert choice_sets(disjoint) == [("U", "V", "W"), ("X", "Y")]
+    assert choice_sets(overlap) == [("X", "Y"), ("Y", "Z")]
+
+
+def test_runs_not_a_multiple_of_the_period_match_the_oracle(disjoint):
+    log = EventLog()
+    log.add(("a1", "b1", "c1", "d1", "e1"), 7)   # offends both sets: period 6
+    log.add(("a1", "c1"), 2)                     # offends neither
+    log.add(("b2", "a2", "d2", "c2"), 5)         # both sets, only U and V present
+    log.add(("a1", "b1", "e2"), 13)              # {X, Y} only: period 2
+    log.add(("c1", "d1", "e1", "e2"), 4)         # {U, V, W} only: period 3
+    log.add(("a1", "b1", "c1", "d1", "e1", "a2"), 1)
+    got = ea1(log, disjoint)
+    assert_same_log(got, oracles.ea1(log, disjoint))
+    assert got.num_traces == log.num_traces
+
+
+activity_sets = st.lists(
+    st.sets(st.sampled_from(["a1", "b1", "c1", "d1", "e1", "b2"]), min_size=1).map(sorted),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(activity_sets, st.lists(st.integers(1, 40), min_size=6, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_random_runs_match_the_oracle(disjoint, overlap, variants, counts):
+    log = EventLog()
+    for acts, n in zip(variants, counts):
+        log.add(acts, n)
+    assert_same_log(ea1(log, disjoint), oracles.ea1(log, disjoint))
+    named = {"a1": "a1", "b1": "b1", "c1": "c1", "d1": "a2", "e1": "c2", "b2": "b2"}
+    renamed = EventLog()
+    for acts, n in zip(variants, counts):
+        renamed.add([named[a] for a in acts], n)
+    assert_same_log(ea1(renamed, overlap), oracles.ea1(renamed, overlap))
+
+
+pools = st.lists(
+    st.tuples(
+        st.permutations(["a", "b", "c"]),
+        st.sampled_from(["", "p", "q"]),
+        st.integers(1, 12),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(pools)
+@settings(max_examples=80, deadline=None)
+def test_random_pools_match_the_stage_two_oracle(pool):
+    # one class of six reference traces; variants with one sequence but
+    # other attributes tie on distance, so the greedy order decides
+    model = parse_tree("and(a,b,c)")
+    log = EventLog(attrs_identity=True)
+    for acts, concrete, n in pool:
+        attrs = (("concrete", concrete),) if concrete else ()
+        log.add([Event(a, attrs) for a in acts], n)
+    try:
+        want = oracles.ea2(log, model)
+    except MatchingError as exc:
+        with pytest.raises(MatchingError, match=re.escape(str(exc))):
+            ea2(log, model)
+    else:
+        assert_same_log(ea2(log, model), want)
+
+
+# ---------------------------------------------------------------------------
+# CSV reading and writing
+# ---------------------------------------------------------------------------
+
+CRAFTED_CSVS = [
+    # timestamps: numeric, empty and text, ties kept in file order
+    "case,activity,timestamp\nc1,b,2\nc1,a,1\nc2,x,\nc2,y,\nc3,b,t2\nc3,a,t1\nc1,c,2\n",
+    # attribute columns, empty values dropped, short rows padded
+    "case,activity,attr:team,attr:area\nc1,a,blue,n\nc1,b,,s\nc2,a,blue,n\nc2,b\n"
+    "c3,a,blue,n\nc3,b,,s\n",
+    # blank lines and interleaved cases
+    "activity,case\n\na,1\nb,2\n\nb,1\na,2\na,3\nb,3\n\n",
+    # abstraction columns, quoting, and a timestamp after them
+    'case,activity,concrete,transposed,timestamp\n'
+    'c1,X,"p;q",true,3\nc2,Y,,,1\nc1,Y,,,1\nc2,X,"p;q",true,3\nc3,"a,b",,,0\n',
+]
+
+
+@pytest.mark.parametrize("text", CRAFTED_CSVS)
+@pytest.mark.parametrize("attrs_identity", [False, True])
+def test_crafted_csvs_match_the_oracle(text, attrs_identity):
+    got = read_csv_log(io.StringIO(text), attrs_identity)
+    assert_same_log(got, oracles.read_csv_log(io.StringIO(text), attrs_identity))
+    assert as_csv(got) == as_csv(got, oracles.write_csv_log)
+
+
+rows = st.lists(
+    st.tuples(
+        st.sampled_from(["c1", "c2", "c3"]),
+        st.sampled_from(["a", "b", "c d", "x,y"]),
+        st.sampled_from(["", "1", "2", "1.5", "late"]),
+        st.sampled_from(["", "red", 'say "hi"']),
+    ),
+    max_size=25,
+)
+
+
+@given(rows, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_random_csvs_match_the_oracle(table, attrs_identity):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["timestamp", "case", "attr:colour", "activity"])
+    for i, (case, act, ts, colour) in enumerate(table):
+        if i % 4 == 3:
+            buf.write("\r\n")  # a blank line
+        writer.writerow([ts, case, colour, act])
+    text = buf.getvalue()
+    got = read_csv_log(io.StringIO(text), attrs_identity)
+    assert_same_log(got, oracles.read_csv_log(io.StringIO(text), attrs_identity))
+    assert as_csv(got) == as_csv(got, oracles.write_csv_log)
+
+
+def test_writer_numbers_cases_across_empty_traces():
+    log = EventLog(attrs_identity=True)
+    log.add([Event("a", (("concrete", "p"), ("team", "x")))], 2)
+    log.add([], 3)
+    log.add([Event("b", (("transposed", "true"),)), Event("a")], 2)
+    assert as_csv(log) == as_csv(log, oracles.write_csv_log)

@@ -178,7 +178,11 @@ def test_csv_reader_requires_case_and_activity():
 
 @pytest.mark.parametrize(
     "text, missing",
-    [("case,activity\nc1,a\nc1\n", "activity"), ("activity,case\na,c1\nb\n", "case")],
+    [
+        ("case,activity\nc1,a\nc1\n", "activity"),
+        ("activity,case\na,c1\nb\n", "case"),
+        ("case,activity,timestamp\nc1,a,1\nc1,b\n", "timestamp"),
+    ],
 )
 def test_csv_reader_names_the_line_of_a_short_row(text, missing):
     with pytest.raises(ValueError, match=f"CSV line 3: row has no '{missing}' field"):

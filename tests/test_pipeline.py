@@ -25,7 +25,7 @@ from bpa.pipeline import (
     verify,
 )
 from bpa.profiles import behavioral_profile
-from bpa.semantics import df_complete, minimal_log
+from bpa.semantics import LogSizeError, df_complete, minimal_log
 from bpa.trees import activities, check_class, isomorphic, parse_tree, size
 from conftest import (
     BOUNDARY_GROUPS,
@@ -203,3 +203,14 @@ def test_shrinking_keeps_the_failure_and_never_grows():
     report = roundtrip(shrunk.log, shrunk.spec)
     assert report.applicability.in_class
     assert report.isomorphic is not True
+
+
+def test_count_check_refuses_minimal_logs_over_the_trace_cap():
+    from bpa.pipeline import _counts_match
+
+    # 12! interleavings: the predicted lengths alone would take gigabytes
+    chain = "a11"
+    for i in range(10, -1, -1):
+        chain = f"and(a{i},{chain})"
+    with pytest.raises(LogSizeError):
+        _counts_match(parse_tree(chain))
