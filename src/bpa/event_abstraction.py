@@ -11,7 +11,9 @@ abstract activities by a round-robin deletion over the traces.  Stage two
 redistributes the traces over the minimal log of the abstracted model:
 traces are grouped by activity multiset, matched to reference traces with
 the same multiset, and reordered by the fewest adjacent transpositions
-(Kendall tau distance), marking every moved event.
+(Kendall tau distance), marking every moved event.  The matching ranks
+candidates by the inversion count of their slot permutation and builds a
+transposition witness only for the pairs it takes.
 
 Rediscovering a model from the abstracted log yields a tree isomorphic to
 the abstracted model, provided the log lies in the restricted class and
@@ -58,11 +60,7 @@ def kendall_distance(source: Sequence[str], target: Sequence[str]) -> KendallRes
     over the same multiset; duplicate symbols are matched left to right."""
     if Counter(source) != Counter(target):
         raise ValueError("sequences must contain the same activities")
-    slots: dict[str, deque[int]] = defaultdict(deque)
-    for i, sym in enumerate(target):
-        slots[sym].append(i)
-    perm = [slots[sym].popleft() for sym in source]
-
+    perm = _slot_permutation(source, target)
     swaps: list[int] = []
     changed = True
     while changed:
@@ -73,6 +71,21 @@ def kendall_distance(source: Sequence[str], target: Sequence[str]) -> KendallRes
                 swaps.append(i)
                 changed = True
     return KendallResult(distance=len(swaps), transpositions=tuple(swaps))
+
+
+def _slot_permutation(source: Sequence[str], target: Sequence[str]) -> list[int]:
+    """The target position of each source symbol, duplicates left to right."""
+    slots: dict[str, deque[int]] = defaultdict(deque)
+    for i, sym in enumerate(target):
+        slots[sym].append(i)
+    return [slots[sym].popleft() for sym in source]
+
+
+def _inversions(source: Sequence[str], target: Sequence[str]) -> int:
+    """The Kendall distance of two sequences over one multiset, without a
+    witness: the inversion count of their slot permutation."""
+    perm = _slot_permutation(source, target)
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
 
 
 def apply_transpositions(items: Sequence, transpositions: Iterable[int]) -> list:
@@ -210,7 +223,8 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
     for index, (trace, n) in enumerate(abstracted.variants()):
         acts = tuple(e.activity for e in trace)
         pool_classes.setdefault(tuple(sorted(Counter(acts).items())), []).append([index, trace, acts, n])
-    witness = functools.cache(kendall_distance)  # variants may share a sequence
+    # variants may share a sequence
+    rank, witness = functools.cache(_inversions), functools.cache(kendall_distance)
     result = EventLog(attrs_identity=True)
     for sig, remaining in pool_classes.items():
         refs = ref_classes.pop(sig, None)
@@ -224,7 +238,7 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
                 f"of the same activity multiset"
             )
         for ref_acts, need in zip(refs, even_split_sizes(m, k)):
-            remaining.sort(key=lambda item: (witness(item[2], ref_acts).distance, item[0]))
+            remaining.sort(key=lambda item: (rank(item[2], ref_acts), item[0]))
             taken = []  # (index, trace, acts, copies), a prefix of remaining
             while need:
                 item = remaining[0]

@@ -19,8 +19,9 @@ abstract names to sets of concrete activities, and a rational threshold
 :func:`plan` runs the applicability gate and all three steps once, sharing
 one table of relation weights and one decomposition tree.
 
-All weights are exact ``Fraction`` values; threshold comparisons happen at
-boundary values like 1/2 and 5/9, where floats would betray us.
+Weights are integer counts of concrete pairs, compared with ``w_t = p/q`` by
+cross-multiplication and exposed as exact ``Fraction`` values: thresholds sit
+at boundary values like 1/2 and 5/9, where floats would betray us.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Mapping
 
 import networkx as nx
@@ -157,21 +157,30 @@ def dump_agg_spec(spec: AggSpec) -> str:
 
 @dataclass(frozen=True)
 class RelationWeights:
-    """The four weak-order weights of an abstract pair and the relation
-    weights derived from them (all exact rationals)."""
+    """Of the ``total`` concrete pairs (v, u) of an abstract pair (x, y),
+    ``n_xy`` have v weakly before u (strict or parallel) and ``n_yx`` u before
+    v (inverse or parallel); the rest are "not before".  The weights are
+    exact read-only views on these counts."""
 
-    x_before_y: Fraction
-    y_before_x: Fraction
-    x_not_before_y: Fraction
-    y_not_before_x: Fraction
-    choice: Fraction
-    strict: Fraction
-    inverse: Fraction
-    parallel: Fraction
+    n_xy: int
+    n_yx: int
+    total: int
 
     @property
-    def w_max(self) -> Fraction:
-        return max(self.choice, self.strict, self.inverse, self.parallel)
+    def counts(self) -> tuple[int, int, int, int]:
+        """Numerators of the choice, strict, inverse and parallel weights."""
+        xnb, ynb = self.total - self.n_xy, self.total - self.n_yx
+        return min(xnb, ynb), min(self.n_xy, ynb), min(self.n_yx, xnb), min(self.n_xy, self.n_yx)
+
+    x_before_y = property(lambda w: Fraction(w.n_xy, w.total))
+    y_before_x = property(lambda w: Fraction(w.n_yx, w.total))
+    x_not_before_y = property(lambda w: Fraction(w.total - w.n_xy, w.total))
+    y_not_before_x = property(lambda w: Fraction(w.total - w.n_yx, w.total))
+    choice = property(lambda w: Fraction(w.counts[0], w.total))
+    strict = property(lambda w: Fraction(w.counts[1], w.total))
+    inverse = property(lambda w: Fraction(w.counts[2], w.total))
+    parallel = property(lambda w: Fraction(w.counts[3], w.total))
+    w_max = property(lambda w: Fraction(max(w.counts), w.total))
 
 
 def relation_weights(
@@ -183,59 +192,36 @@ def relation_weights(
     unknown = (gx | gy) - profile.activities
     if unknown:
         raise ValueError(f"activities not covered by the profile: {sorted(unknown)}")
-    n_xy = n_yx = n_not_xy = n_not_yx = 0
-    for v, u in product(sorted(gx), sorted(gy)):
-        rel = profile.relation(v, u)
-        if rel in (STRICT, PARALLEL):
-            n_xy += 1
-        if rel in (INVERSE, PARALLEL):
-            n_yx += 1
-        if rel in (INVERSE, CHOICE):
-            n_not_xy += 1
-        if rel in (STRICT, CHOICE):
-            n_not_yx += 1
-    w_prod = len(gx) * len(gy)
-    xb = Fraction(n_xy, w_prod)
-    yb = Fraction(n_yx, w_prod)
-    xnb = Fraction(n_not_xy, w_prod)
-    ynb = Fraction(n_not_yx, w_prod)
-    return RelationWeights(
-        x_before_y=xb,
-        y_before_x=yb,
-        x_not_before_y=xnb,
-        y_not_before_x=ynb,
-        choice=min(xnb, ynb),
-        strict=min(xb, ynb),
-        inverse=min(yb, xnb),
-        parallel=min(xb, yb),
-    )
+    relations = profile.relations
+    n_xy = n_yx = 0
+    for v in gx:
+        for u in gy:
+            rel = relations[v, u]
+            n_xy += rel in (STRICT, PARALLEL)
+            n_yx += rel in (INVERSE, PARALLEL)
+    return RelationWeights(n_xy, n_yx, len(gx) * len(gy))
 
 
-def derive_ordering_relation(
-    x: str,
-    y: str,
-    profile: BehavioralProfile,
-    spec: AggSpec,
-    w_t: Fraction | None = None,
-) -> str:
+def derive_ordering_relation(x: str, y: str, profile: BehavioralProfile, spec: AggSpec) -> str:
     """Select the relation of an abstract pair by the priority cascade:
     choice, strict order (flipped if the inverse weight dominates),
     inverse, parallel; below-threshold pairs default to parallel with a
     diagnostic (unreachable for thresholds within the applicable range)."""
-    w_t = spec.w_t if w_t is None else Fraction(w_t)
-    return _select(x, y, relation_weights(x, y, profile, spec), w_t)
+    return _select(x, y, relation_weights(x, y, profile, spec), spec.w_t)
 
 
 def _select(x: str, y: str, w: RelationWeights, w_t: Fraction) -> str:
-    if w.choice >= w_t:
+    # count / total >= p / q, by cross-multiplication
+    bar = w_t.numerator * w.total
+    q = w_t.denominator
+    choice, strict, inverse, parallel = w.counts
+    if choice * q >= bar:
         return CHOICE
-    if w.strict >= w_t:
-        if w.inverse > w.strict:
-            return INVERSE
-        return STRICT
-    if w.inverse >= w_t:
+    if strict * q >= bar:
+        return INVERSE if inverse > strict else STRICT
+    if inverse * q >= bar:
         return INVERSE
-    if w.parallel >= w_t:
+    if parallel * q >= bar:
         return PARALLEL
     logger.warning(
         "no relation weight of (%s, %s) reaches w_t=%s (max %s); defaulting to parallel",
@@ -261,7 +247,12 @@ def _weight_table(profile: BehavioralProfile, spec: AggSpec) -> _WeightTable:
 
 
 def _minmax(table: _WeightTable) -> Fraction:
-    return min(w.w_max for w in table.values())
+    top, total = 1, 1  # no weight exceeds 1
+    for w in table.values():
+        m = max(w.counts)
+        if m * total < top * w.total:  # m / w.total < top / total
+            top, total = m, w.total
+    return Fraction(top, total)
 
 
 def w_minmax(profile: BehavioralProfile, spec: AggSpec) -> Fraction:
@@ -269,6 +260,13 @@ def w_minmax(profile: BehavioralProfile, spec: AggSpec) -> Fraction:
     relation weight — the largest threshold for which every pair still
     reaches some relation."""
     return _minmax(_weight_table(profile, spec))
+
+
+def minmax_profile(profile: BehavioralProfile, spec: AggSpec) -> tuple[Fraction, BehavioralProfile]:
+    """:func:`w_minmax` and the profile derived at it, from one weight table."""
+    table = _weight_table(profile, spec)
+    limit = _minmax(table)
+    return limit, _derive(table, limit)
 
 
 def derive_profile(profile: BehavioralProfile, spec: AggSpec) -> BehavioralProfile:
@@ -369,31 +367,14 @@ def _linear_order(
 ) -> list[frozenset[str]] | None:
     """Total order on the parts under uniform one-directional edges, or
     None when directions are mixed (the module is then primitive)."""
-    k = len(comps)
-    wins = [0] * k
-    direction: dict[tuple[int, int], int] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            fwd = all((a, b) in edges and (b, a) not in edges
-                      for a in comps[i] for b in comps[j])
-            bwd = all((b, a) in edges and (a, b) not in edges
-                      for a in comps[i] for b in comps[j])
-            if fwd:
-                direction[(i, j)] = 1
-                wins[i] += 1
-            elif bwd:
-                direction[(i, j)] = -1
-                wins[j] += 1
-            else:
-                return None
-    order = sorted(range(k), key=lambda i: -wins[i])
-    for a in range(k):
-        for b in range(a + 1, k):
-            i, j = order[a], order[b]
-            uniform = direction[(i, j)] == 1 if i < j else direction[(j, i)] == -1
-            if not uniform:
-                return None
-    return [comps[i] for i in order]
+
+    def before(p: frozenset[str], q: frozenset[str]) -> bool:
+        return all((a, b) in edges and (b, a) not in edges for a in p for b in q)
+
+    order = sorted(comps, key=lambda p: -sum(before(p, q) for q in comps))
+    if all(before(p, q) for i, p in enumerate(order) for q in order[i + 1:]):
+        return order
+    return None
 
 
 def _primitive_children(

@@ -21,16 +21,14 @@ from fractions import Fraction
 
 from .event_abstraction import MatchingError, ea1, ea2
 from .logs import EventLog
-from .miner import check_restricted, discover
+from .miner import RestrictionCheck, check_restricted, discover
 from .model_abstraction import (
     AggSpec,
     Abstraction,
-    applicable,
-    derive_profile,
     dump_agg_spec,
     expand_spec,
+    minmax_profile,
     plan,
-    w_minmax,
 )
 from .profiles import CHOICE, behavioral_profile
 from .semantics import DEFAULT_TRACE_CAP, LogSizeError, minimal_log, ntl
@@ -72,7 +70,11 @@ class RoundtripReport:
 
 def roundtrip(log: EventLog, spec: AggSpec) -> RoundtripReport:
     check = check_restricted(log)
-    abstraction = plan(check.tree, spec)
+    return _roundtrip(log, check, plan(check.tree, spec))
+
+
+def _roundtrip(log: EventLog, check: RestrictionCheck, abstraction: Abstraction) -> RoundtripReport:
+    """The chain after the restriction audit and the plan of its tree."""
     report = RoundtripReport(check.tree, check.restricted, check.report, abstraction)
     if not abstraction.report.in_class:
         return replace(report, failures=("aggregation not applicable to the discovered model",))
@@ -125,10 +127,15 @@ class GenParams:
 
 @dataclass(frozen=True)
 class Instance:
+    """A generated model, log and aggregation, with the generator's
+    restriction audit of the log and plan of the audited tree."""
+
     model: ProcessTree
     log: EventLog
     spec: AggSpec
     seed: int
+    check: RestrictionCheck | None = None
+    abstraction: Abstraction | None = None
 
 
 def generate_instance(params: GenParams) -> Instance:
@@ -145,13 +152,11 @@ def generate_instance(params: GenParams) -> Instance:
         if spec is None:
             continue
         log = _inflate(base, rng, params)
-        if not params.allow_unrestricted:
-            check = check_restricted(log)
-            if not check.restricted:
-                continue
-            if not applicable(check.tree, spec).in_class:
-                continue
-        return Instance(model=tree, log=log, spec=spec, seed=params.seed)
+        check = check_restricted(log)
+        abstraction = plan(check.tree, spec)
+        if not (params.allow_unrestricted or check.restricted and abstraction.report.in_class):
+            continue
+        return Instance(tree, log, spec, params.seed, check, abstraction)
     raise GenerationError(
         f"no viable instance after {params.max_attempts} attempts (seed {params.seed})"
     )
@@ -212,12 +217,9 @@ def _random_spec(
             for i in range(count)
         }
         full = expand_spec(AggSpec(agg=groups, w_t=Fraction(1)), acts)
-        spec = AggSpec(agg=groups, w_t=w_minmax(profile, full))
-        full = AggSpec(agg=full.agg, w_t=spec.w_t)
-        if params.allow_unrestricted or _choices_hold(
-            derive_profile(profile, full), full, trace_sets
-        ):
-            return spec
+        w_t, abstract = minmax_profile(profile, full)
+        if params.allow_unrestricted or _choices_hold(abstract, full, trace_sets):
+            return AggSpec(agg=groups, w_t=w_t)
     return None
 
 
@@ -287,7 +289,7 @@ def verify(
     summary = VerificationSummary()
     for i in range(n):
         instance = generate_instance(replace(base, seed=seed + i))
-        report = roundtrip(instance.log, instance.spec)
+        report = _roundtrip(instance.log, instance.check, instance.abstraction)
         summary.instances += 1
         if report.abstract_model is not None:
             if _profile_realized(report):
@@ -341,7 +343,8 @@ def _record_failure(instance: Instance, report: RoundtripReport) -> FailureRecor
 
 def _shrink(instance: Instance, budget: int = 60) -> Instance:
     """Greedy reduction of a failing instance: drop subtrees, prune the
-    aggregation accordingly, and keep any candidate that still fails."""
+    aggregation accordingly, and keep any candidate that is still in the
+    restricted class, passes the gate and fails."""
     best = instance
     improved = True
     while improved and budget > 0:
@@ -351,9 +354,11 @@ def _shrink(instance: Instance, budget: int = 60) -> Instance:
             try:
                 report = roundtrip(candidate.log, candidate.spec)
                 # a shrunk candidate must fail the same way: through the
-                # gates, then out of sync
+                # restriction audit and the gate, then out of sync
                 still_failing = (
-                    report.applicability.in_class and report.isomorphic is not True
+                    report.restricted
+                    and report.applicability.in_class
+                    and report.isomorphic is not True
                 )
             except Exception:
                 still_failing = False

@@ -23,6 +23,7 @@ from itertools import combinations
 import pytest
 
 from bpa import AggSpec, EventLog, make_spec
+from bpa.pipeline import GenParams, Instance, generate_instance
 from bpa.trees import ProcessTree, leaf, node, normal_form, tau
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,20 @@ BOUNDARY_MODEL = (
 )
 BOUNDARY_GROUPS = {"X1": ["a0", "a9"], "X2": ["a10", "a5"]}
 BOUNDARY_W_T = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# The acceptance criteria's corpus of generated instances
+# ---------------------------------------------------------------------------
+
+CORPUS_SIZE = 300
+
+
+@pytest.fixture(scope="session")
+def criterion_corpus() -> list[Instance]:
+    """The instances of generator seeds 0 .. CORPUS_SIZE - 1 at default
+    parameters, generated once per session."""
+    return [generate_instance(GenParams(seed=i)) for i in range(CORPUS_SIZE)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,24 @@
-"""Trace-by-trace reference implementations of the log side.
+"""Reference implementations of the fast paths, for the tests to compare
+against.
 
-``bpa`` reads, abstracts and writes logs per variant, with multiplicities.
-The functions here do the same work one trace at a time, expanding every
-multiplicity, which is the direct reading of the algorithms; the tests
-require the library's outputs to equal theirs, variant order, attributes
-and CSV bytes included.
+The model side: ``bpa`` counts the concrete pairs of each abstract pair in
+integers and compares counts with the threshold by cross-multiplication.
+The functions here build every relation weight as an exact ``Fraction``
+and compare the weights themselves, which is the direct reading of the
+cascade.
+
+The log side: ``bpa`` reads, abstracts and writes logs per variant, with
+multiplicities.  The functions here do the same work one trace at a time,
+expanding every multiplicity; the tests require the library's outputs to
+equal theirs, variant order, attributes and CSV bytes included.
 """
 from __future__ import annotations
 
 import csv
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from bpa.event_abstraction import (
@@ -23,9 +31,90 @@ from bpa.event_abstraction import (
     kendall_distance,
 )
 from bpa.logs import Event, EventLog, Trace
-from bpa.model_abstraction import Abstraction
+from bpa.model_abstraction import Abstraction, AggSpec
+from bpa.profiles import CHOICE, INVERSE, PARALLEL, STRICT, BehavioralProfile
 from bpa.semantics import minimal_log
 from bpa.trees import ProcessTree, require_class
+
+
+# ---------------------------------------------------------------------------
+# Relation weights and the selection cascade
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RelationWeights:
+    """The four weak-order weights of an abstract pair and the relation
+    weights derived from them (all exact rationals)."""
+
+    x_before_y: Fraction
+    y_before_x: Fraction
+    x_not_before_y: Fraction
+    y_not_before_x: Fraction
+    choice: Fraction
+    strict: Fraction
+    inverse: Fraction
+    parallel: Fraction
+
+    @property
+    def w_max(self) -> Fraction:
+        return max(self.choice, self.strict, self.inverse, self.parallel)
+
+
+def relation_weights(
+    x: str, y: str, profile: BehavioralProfile, spec: AggSpec
+) -> RelationWeights:
+    gx, gy = spec.agg[x], spec.agg[y]
+    n_xy = n_yx = n_not_xy = n_not_yx = 0
+    for v, u in product(sorted(gx), sorted(gy)):
+        rel = profile.relation(v, u)
+        if rel in (STRICT, PARALLEL):
+            n_xy += 1
+        if rel in (INVERSE, PARALLEL):
+            n_yx += 1
+        if rel in (INVERSE, CHOICE):
+            n_not_xy += 1
+        if rel in (STRICT, CHOICE):
+            n_not_yx += 1
+    w_prod = len(gx) * len(gy)
+    xb = Fraction(n_xy, w_prod)
+    yb = Fraction(n_yx, w_prod)
+    xnb = Fraction(n_not_xy, w_prod)
+    ynb = Fraction(n_not_yx, w_prod)
+    return RelationWeights(
+        x_before_y=xb,
+        y_before_x=yb,
+        x_not_before_y=xnb,
+        y_not_before_x=ynb,
+        choice=min(xnb, ynb),
+        strict=min(xb, ynb),
+        inverse=min(yb, xnb),
+        parallel=min(xb, yb),
+    )
+
+
+def select(w: RelationWeights, w_t: Fraction) -> str:
+    """The cascade on the weights; below every threshold it defaults to
+    parallel (where the library also logs a warning)."""
+    if w.choice >= w_t:
+        return CHOICE
+    if w.strict >= w_t:
+        if w.inverse > w.strict:
+            return INVERSE
+        return STRICT
+    if w.inverse >= w_t:
+        return INVERSE
+    if w.parallel >= w_t:
+        return PARALLEL
+    return PARALLEL
+
+
+def w_minmax(profile: BehavioralProfile, spec: AggSpec) -> Fraction:
+    names = sorted(spec.agg)
+    return min(
+        relation_weights(x, y, profile, spec).w_max
+        for i, x in enumerate(names)
+        for y in names[i:]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from bpa.model_abstraction import (
     relation_weights,
     w_minmax,
 )
-from bpa.pipeline import GenParams, generate_instance, roundtrip, verify
+from bpa.pipeline import roundtrip, verify
 from bpa.profiles import (
     STRICT,
     behavioral_profile,
@@ -50,6 +50,7 @@ from conftest import (
     CLAIMS_ABSTRACT,
     CLAIMS_GROUPS,
     CLAIMS_MODEL,
+    CORPUS_SIZE,
     ORDERS_DESIGNED,
     ORDERS_GROUPS,
     ORDERS_TRACES,
@@ -58,8 +59,6 @@ from conftest import (
 )
 from test_event_abstraction import bfs_swap_distance
 from test_model_abstraction import brute_force_strong_modules, random_profile
-
-CORPUS_SIZE = 300
 
 
 @contextmanager
@@ -199,10 +198,9 @@ def _check_operator_ordering(trials: int) -> tuple[int, int]:
     return small, chains
 
 
-def test_criterion_5_supporting_properties():
+def test_criterion_5_supporting_properties(criterion_corpus):
     with criterion("criterion 5: compression, rediscoverability, ordering, matching"):
-        for i in range(CORPUS_SIZE):
-            inst = generate_instance(GenParams(seed=i))
+        for inst in criterion_corpus:
             report = roundtrip(inst.log, inst.spec)
             abstract = report.abstract_model
             assert abstract is not None

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bpa import make_spec
 from bpa.event_abstraction import (
     MatchingError,
+    _inversions,
     apply_transpositions,
     choice_sets,
     delete_choice_activities,
@@ -100,6 +101,21 @@ def test_kendall_matches_the_bfs_oracle(source, rng):
     assert result.distance == kendall_distance(target, source).distance
     assert len(result.transpositions) == result.distance
     assert apply_transpositions(source, result.transpositions) == list(target)
+
+
+#: sequences with some symbols doubled in place, as stage one doubles the
+#: event of an abstract activity in parallel self-relation
+doubled = st.lists(st.tuples(st.sampled_from("abcd"), st.booleans()), max_size=7).map(
+    lambda items: tuple(sym for sym, twice in items for _ in range(1 + twice))
+)
+
+
+@given(doubled | sequences, st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_stage_two_ranking_matches_the_kendall_distance(source, rng):
+    target = tuple(rng.sample(source, len(source)))
+    assert _inversions(source, target) == kendall_distance(source, target).distance
+    assert _inversions(target, source) == kendall_distance(target, source).distance
 
 
 # ---------------------------------------------------------------------------

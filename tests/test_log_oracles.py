@@ -17,10 +17,8 @@ from bpa.event_abstraction import MatchingError, choice_sets, ea1, ea2
 from bpa.logs import Event, EventLog, read_csv_log, write_csv_log
 from bpa.miner import discover
 from bpa.model_abstraction import plan
-from bpa.pipeline import GenParams, generate_instance
 from bpa.trees import parse_tree
 from conftest import CLAIMS_GROUPS, ORDERS_GROUPS, ORDERS_TRACES, build_claims_log
-from test_acceptance import CORPUS_SIZE
 
 FIXTURES = {
     "claims": (build_claims_log, make_spec(CLAIMS_GROUPS, Fraction(1, 2))),
@@ -87,9 +85,8 @@ def test_fixtures_match_the_oracles(name, factor):
     assert as_csv(log) == as_csv(log, oracles.write_csv_log)
 
 
-def test_criterion_corpus_matches_the_oracles():
-    for seed in range(CORPUS_SIZE):
-        inst = generate_instance(GenParams(seed=seed))
+def test_criterion_corpus_matches_the_oracles(criterion_corpus):
+    for inst in criterion_corpus:
         assert_same_abstraction(inst.log, inst.spec)
 
 

@@ -6,9 +6,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bpa.model_abstraction import (
     AggSpec,
     InapplicableError,
@@ -22,6 +23,7 @@ from bpa.model_abstraction import (
     load_agg_spec,
     ma_bpa,
     make_spec,
+    minmax_profile,
     modular_decomposition,
     plan,
     relation_weights,
@@ -38,7 +40,6 @@ from bpa.profiles import (
     order_relations_graph,
     profile_from_function,
 )
-from bpa.pipeline import GenParams, generate_instance
 from bpa.trees import activities, isomorphic, parse_tree, render_tree, size
 from conftest import (
     CLAIMS_ABSTRACT,
@@ -189,6 +190,21 @@ def test_threshold_comparisons_are_exact_at_the_boundary():
     assert derive_ordering_relation("a", "B", profile, spec) == STRICT
 
 
+def test_parallel_weight_at_the_threshold_is_not_a_default(caplog):
+    # X || Y on three of the four concrete pairs, b + d on the fourth
+    profile = profile_from_function(
+        ["a", "b", "c", "d"],
+        lambda x, y: CHOICE if x == y or {x, y} in ({"a", "b"}, {"c", "d"}, {"b", "d"})
+        else PARALLEL,
+    )
+    spec = make_spec({"X": ["a", "b"], "Y": ["c", "d"]}, Fraction(3, 4))
+    w = relation_weights("X", "Y", profile, spec)
+    assert w.parallel == Fraction(3, 4) > max(w.choice, w.strict, w.inverse)
+    with caplog.at_level(logging.WARNING, logger="bpa.model_abstraction"):
+        assert derive_ordering_relation("X", "Y", profile, spec) == PARALLEL
+    assert "defaulting" not in caplog.text
+
+
 @given(trees, st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_weights_match_a_direct_transcription(tree, rng):
@@ -227,9 +243,77 @@ def test_weights_match_a_direct_transcription(tree, rng):
             assert derive_ordering_relation(x, y, profile, spec) == expected
 
 
+#: the boundary values of the fixtures and the gate, then any threshold in (0, 1]
+thresholds = st.sampled_from([Fraction(1, 2), Fraction(5, 9), Fraction(2, 3)]) | st.fractions(
+    min_value=0, max_value=1, max_denominator=12
+).filter(lambda t: t > 0)
+
+
+def random_spec(tree, rng, w_t) -> AggSpec:
+    names = sorted(activities(tree))
+    return expand_spec(make_spec(random_grouping(rng, names), w_t), names)
+
+
+def oracle_profile(profile, spec, w_t) -> BehavioralProfile:
+    return profile_from_function(
+        spec.agg,
+        lambda x, y: oracles.select(oracles.relation_weights(x, y, profile, spec), w_t),
+    )
+
+
+@given(trees, st.randoms(use_true_random=False), thresholds)
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cascade_matches_the_fraction_oracle(caplog, tree, rng, w_t):
+    profile = behavioral_profile(tree)
+    spec = random_spec(tree, rng, w_t)
+    want = oracle_profile(profile, spec, w_t)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="bpa.model_abstraction"):
+        for x, y in want.pairs():
+            w = relation_weights(x, y, profile, spec)
+            exact = oracles.relation_weights(x, y, profile, spec)
+            assert (w.choice, w.strict, w.inverse, w.parallel, w.w_max) == (
+                exact.choice, exact.strict, exact.inverse, exact.parallel, exact.w_max,
+            )
+            assert derive_ordering_relation(x, y, profile, spec) == want.relation(x, y)
+    # the default branch fires exactly for the pairs no weight lets through
+    assert ("defaulting to parallel" in caplog.text) == (w_t > oracles.w_minmax(profile, spec))
+    assert derive_profile(profile, spec) == want
+
+
+@given(
+    trees,
+    st.randoms(use_true_random=False),
+    st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=12).filter(lambda e: e > 0),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cascade_matches_the_fraction_oracle_above_w_minmax(caplog, tree, rng, excess):
+    profile = behavioral_profile(tree)
+    spec = random_spec(tree, rng, Fraction(1))
+    w_t = oracles.w_minmax(profile, spec) + excess
+    spec = AggSpec(agg=spec.agg, w_t=w_t)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="bpa.model_abstraction"):
+        derived = derive_profile(profile, spec)
+    assert derived == oracle_profile(profile, spec, w_t)
+    # the pair at w_minmax reaches no relation: the default branch fires
+    assert "exceeds w_minmax" in caplog.text
+    assert "defaulting to parallel" in caplog.text
+
+
 # ---------------------------------------------------------------------------
 # w_minmax
 # ---------------------------------------------------------------------------
+
+@given(trees, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_w_minmax_matches_the_fraction_oracle(tree, rng):
+    profile = behavioral_profile(tree)
+    spec = random_spec(tree, rng, Fraction(1))
+    limit = oracles.w_minmax(profile, spec)
+    assert w_minmax(profile, spec) == limit
+    assert minmax_profile(profile, spec) == (limit, oracle_profile(profile, spec, limit))
+
 
 def test_w_minmax_anchors():
     claims = behavioral_profile(parse_tree(CLAIMS_MODEL))
@@ -484,9 +568,8 @@ def test_plan_matches_the_oracle_on_the_fixtures(model, groups, w_t):
     assert_plan_matches_the_oracle(parse_tree(model), make_spec(groups, w_t))
 
 
-def test_plan_matches_the_oracle_on_the_criterion_corpus():
-    for seed in range(300):  # the acceptance criteria's corpus
-        inst = generate_instance(GenParams(seed=seed))
+def test_plan_matches_the_oracle_on_the_criterion_corpus(criterion_corpus):
+    for inst in criterion_corpus:
         assert_plan_matches_the_oracle(inst.model, inst.spec)
 
 

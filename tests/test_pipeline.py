@@ -6,13 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+import bpa.pipeline as pipeline
 from bpa import make_spec
+from bpa.event_abstraction import kendall_distance
 from bpa.logs import log_from_sequences
-from bpa.miner import check_restricted
+from bpa.miner import check_restricted, discover
 from bpa.model_abstraction import (
     applicable,
+    derive_profile,
     expand_spec,
     modular_decomposition,
+    plan,
     relation_weights,
     w_minmax,
 )
@@ -178,6 +182,37 @@ def test_verify_small_corpus_is_clean():
     assert summary.ok
 
 
+def test_verify_does_the_model_side_once_per_instance(monkeypatch):
+    steps = (check_restricted, plan, discover, derive_profile, w_minmax, kendall_distance)
+    calls = {fn.__name__: record_calls(monkeypatch, fn) for fn in steps}
+    marks = []  # per instance: call counts before and after its generation
+
+    def counts() -> dict[str, int]:
+        return {name: len(made) for name, made in calls.items()}
+
+    def generating(params):
+        before = counts()
+        instance = generate(params)
+        marks.append((before, counts()))
+        return instance
+
+    generate = pipeline.generate_instance
+    monkeypatch.setattr(pipeline, "generate_instance", generating)
+    summary = verify(3, seed=0)
+    assert summary.ok and summary.instances == len(marks) == 3
+
+    ends = [before for before, _ in marks[1:]] + [counts()]
+    for (before, generated), end in zip(marks, ends):
+        inside = {name: generated[name] - before[name] for name in calls}
+        after = {name: end[name] - generated[name] for name in calls}
+        assert (inside["check_restricted"], after["check_restricted"]) == (1, 0)
+        assert (inside["plan"], after["plan"]) == (1, 0)
+        assert (inside["discover"], after["discover"]) == (1, 1)  # the rediscovery
+        assert after["derive_profile"] == after["w_minmax"] == 0
+        ranked = calls["kendall_distance"][generated["kendall_distance"]:end["kendall_distance"]]
+        assert ranked and max(Counter(ranked).values()) == 1
+
+
 def test_negative_control_fails_at_the_gate():
     summary = verify(3, seed=0, negative_control=True)
     assert summary.instances == 3
@@ -201,6 +236,22 @@ def test_shrinking_keeps_the_failure_and_never_grows():
     shrunk = _shrink(inst)
     assert size(shrunk.model) <= size(inst.model)
     report = roundtrip(shrunk.log, shrunk.spec)
+    assert report.applicability.in_class
+    assert report.isomorphic is not True
+
+
+def test_shrinking_stays_in_the_restricted_class():
+    # with one group of three, the gate passes instances whose round trip
+    # fails; this one used to shrink to a tree with an activity child under
+    # a sequence, which the restriction audit refuses
+    from bpa.pipeline import _shrink
+
+    inst = generate_instance(GenParams(seed=1, agg_group_count=1, agg_group_size=3))
+    assert roundtrip(inst.log, inst.spec).isomorphic is not True
+    shrunk = _shrink(inst)
+    assert size(shrunk.model) < size(inst.model)
+    report = roundtrip(shrunk.log, shrunk.spec)
+    assert report.restricted
     assert report.applicability.in_class
     assert report.isomorphic is not True
 
