@@ -29,7 +29,6 @@ from .logs import (
     dfg_of_log,
     format_compact,
     log_from_sequences,
-    log_metrics,
     read_compact,
     read_compact_file,
     read_csv_log,
@@ -38,7 +37,6 @@ from .logs import (
 from .semantics import (
     LogSizeError,
     NtlResult,
-    df_complete,
     enumerate_language,
     minimal_log,
     ntl,

@@ -12,8 +12,8 @@ redistributes the traces over the minimal log of the abstracted model:
 traces are grouped by activity multiset, matched to reference traces with
 the same multiset, and reordered by the fewest adjacent transpositions
 (Kendall tau distance), marking every moved event.  The matching ranks
-candidates by the inversion count of their slot permutation and builds a
-transposition witness only for the pairs it takes.
+candidates by Kendall distance, read off bitmasks built once per trace
+(:func:`_order_mask`), and builds a witness only for the pairs it takes.
 
 Rediscovering a model from the abstracted log yields a tree isomorphic to
 the abstracted model, provided the log lies in the restricted class and
@@ -25,11 +25,11 @@ import functools
 import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import networkx as nx
 
-from .logs import Event, EventLog, Trace
+from .logs import Event, EventLog, Trace, trace_activities
 from .miner import discover
 from .model_abstraction import AggSpec, Abstraction, InapplicableError, plan
 from .profiles import CHOICE, PARALLEL
@@ -81,18 +81,20 @@ def _slot_permutation(source: Sequence[str], target: Sequence[str]) -> list[int]
     return [slots[sym].popleft() for sym in source]
 
 
-def _inversions(source: Sequence[str], target: Sequence[str]) -> int:
-    """The Kendall distance of two sequences over one multiset, without a
-    witness: the inversion count of their slot permutation."""
-    perm = _slot_permutation(source, target)
-    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-
-
-def apply_transpositions(items: Sequence, transpositions: Iterable[int]) -> list:
-    out = list(items)
-    for i in transpositions:
-        out[i], out[i + 1] = out[i + 1], out[i]
-    return out
+def _order_mask(acts: Sequence[str]) -> int:
+    """Label the k-th occurrence of a symbol (symbol, k) and rank the L
+    labels in sorted order; bit r*L + s is set when rank s > r comes first.
+    Over one multiset, ``(mask_a ^ mask_b).bit_count()`` is the Kendall
+    distance: copies of a symbol keep their order, so they never swap."""
+    width = len(acts)
+    rank = {sym: r for r, sym in reversed(list(enumerate(sorted(acts))))}
+    seen = mask = 0
+    for sym in acts:
+        r = rank[sym]
+        rank[sym] = r + 1
+        mask |= (seen >> (r + 1)) << (r * width + r + 1)
+        seen |= 1 << r
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +217,21 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
     from every reference, so the greedy choice (fewest transpositions, then
     earliest trace) takes them as one block, by count."""
     require_class(model, "C_a")
-    ref_classes: dict[tuple, list[tuple[str, ...]]] = {}
+    ref_classes: dict[tuple, list[tuple[tuple[str, ...], int]]] = {}
     for ref, n in minimal_log(model).variants():
-        ref_acts = tuple(e.activity for e in ref)
-        ref_classes.setdefault(tuple(sorted(Counter(ref_acts).items())), []).extend([ref_acts] * n)
+        acts = trace_activities(ref)
+        ref_classes.setdefault(tuple(sorted(acts)), []).extend([(acts, _order_mask(acts))] * n)
     pool_classes: dict[tuple, list[list]] = {}
     for index, (trace, n) in enumerate(abstracted.variants()):
-        acts = tuple(e.activity for e in trace)
-        pool_classes.setdefault(tuple(sorted(Counter(acts).items())), []).append([index, trace, acts, n])
-    # variants may share a sequence
-    rank, witness = functools.cache(_inversions), functools.cache(kendall_distance)
+        acts = trace_activities(trace)
+        item = [index, trace, acts, n, _order_mask(acts)]
+        pool_classes.setdefault(tuple(sorted(acts)), []).append(item)
+    witness = functools.cache(kendall_distance)  # variants may share a sequence
     result = EventLog(attrs_identity=True)
     for sig, remaining in pool_classes.items():
         refs = ref_classes.pop(sig, None)
         if refs is None:
-            acts = ", ".join(f"{a}:{n}" for a, n in sig)
+            acts = ", ".join(f"{a}:{n}" for a, n in Counter(sig).items())
             raise MatchingError(f"no reference trace with activities {{{acts}}}")
         m, k = sum(item[3] for item in remaining), len(refs)
         if m < k:
@@ -237,8 +239,8 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
                 f"{m} abstracted trace(s) cannot cover {k} reference trace(s) "
                 f"of the same activity multiset"
             )
-        for ref_acts, need in zip(refs, even_split_sizes(m, k)):
-            remaining.sort(key=lambda item: (rank(item[2], ref_acts), item[0]))
+        for (ref_acts, ref_mask), need in zip(refs, even_split_sizes(m, k)):
+            remaining.sort(key=lambda item: ((item[4] ^ ref_mask).bit_count(), item[0]))
             taken = []  # (index, trace, acts, copies), a prefix of remaining
             while need:
                 item = remaining[0]
@@ -251,7 +253,7 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
             for _, trace, acts, n in sorted(taken):
                 result.add(_transpose_to(trace, witness(acts, ref_acts)), n)
     if ref_classes:
-        acts = ", ".join(f"{a}:{n}" for a, n in next(iter(ref_classes)))
+        acts = ", ".join(f"{a}:{n}" for a, n in Counter(next(iter(ref_classes))).items())
         raise MatchingError(f"reference traces with activities {{{acts}}} got no match")
     return result
 

@@ -53,15 +53,19 @@ class Event:
 
 
 Trace = tuple[Event, ...]
+_activity = operator.attrgetter("activity")
 
 
 def as_trace(items: Sequence[str | Event]) -> Trace:
-    """Build a trace from activity names and/or events."""
+    """Build a trace from activity names and/or events; a tuple that holds
+    only events is a trace already and is returned as it is."""
+    if type(items) is tuple and set(map(type, items)) <= {Event}:
+        return items
     return tuple(e if isinstance(e, Event) else Event(e) for e in items)
 
 
 def trace_activities(trace: Trace) -> tuple[str, ...]:
-    return tuple(e.activity for e in trace)
+    return tuple(map(_activity, trace))
 
 
 class EventLog:
@@ -166,11 +170,6 @@ def log_from_sequences(seqs: Iterable[Sequence[str]], counts: Iterable[int] | No
         for s, c in zip(seqs, counts):
             log.add(s, c)
     return log
-
-
-def log_metrics(log: EventLog) -> tuple[int, int]:
-    """``(number of traces, total number of events)``."""
-    return log.num_traces, log.num_events
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,10 @@ def relation_weights(
     unknown = (gx | gy) - profile.activities
     if unknown:
         raise ValueError(f"activities not covered by the profile: {sorted(unknown)}")
-    relations = profile.relations
+    return _pair_weights(gx, gy, profile.relations)
+
+
+def _pair_weights(gx, gy, relations) -> RelationWeights:
     n_xy = n_yx = 0
     for v in gx:
         for u in gy:
@@ -262,11 +265,21 @@ def w_minmax(profile: BehavioralProfile, spec: AggSpec) -> Fraction:
     return _minmax(_weight_table(profile, spec))
 
 
-def minmax_profile(profile: BehavioralProfile, spec: AggSpec) -> tuple[Fraction, BehavioralProfile]:
-    """:func:`w_minmax` and the profile derived at it, from one weight table."""
-    table = _weight_table(profile, spec)
+def group_relations(profile: BehavioralProfile, spec: AggSpec) -> tuple[Fraction, dict]:
+    """:func:`w_minmax` of an expanded spec and the relations derived at it
+    for the pairs, in lexicographic orientation, with a group of two or more
+    members.  Only these are weighed: a pair of two single-member groups
+    weighs 1 and, for any ``w_t`` in (0, 1], keeps its concrete relation."""
+    agg, relations = spec.agg, profile.relations
+    names = sorted(agg)
+    table = {
+        (x, y): _pair_weights(agg[x], agg[y], relations)
+        for i, x in enumerate(names)
+        for y in names[i:]
+        if len(agg[x]) > 1 or len(agg[y]) > 1
+    }
     limit = _minmax(table)
-    return limit, _derive(table, limit)
+    return limit, {(x, y): _select(x, y, w, limit) for (x, y), w in table.items()}
 
 
 def derive_profile(profile: BehavioralProfile, spec: AggSpec) -> BehavioralProfile:

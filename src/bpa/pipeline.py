@@ -14,6 +14,8 @@ shrunk to smaller counterexamples before reporting.
 """
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass, field, replace
 from collections import Counter
@@ -27,7 +29,7 @@ from .model_abstraction import (
     Abstraction,
     dump_agg_spec,
     expand_spec,
-    minmax_profile,
+    group_relations,
     plan,
 )
 from .profiles import CHOICE, behavioral_profile
@@ -140,15 +142,20 @@ class Instance:
 
 def generate_instance(params: GenParams) -> Instance:
     rng = random.Random(params.seed)
+    count = max(1, params.agg_group_count)
+    size = max(2, params.agg_group_size)
+    if count == 1 and size == 2 and not params.allow_unrestricted:
+        size = 3  # a lone two-activity group never clears the union bound
     for _ in range(params.max_attempts):
         tree = _random_tree(rng, params)
-        if tree is None:
+        # a tree too small for the grouping is refused before its log is built
+        if tree is None or len(activities(tree)) < count * size:
             continue
         try:
             base = minimal_log(tree, trace_cap=params.max_base_traces)
         except LogSizeError:
             continue
-        spec = _random_spec(tree, base, rng, params)
+        spec = _random_spec(tree, base, rng, count, size, params.allow_unrestricted)
         if spec is None:
             continue
         log = _inflate(base, rng, params)
@@ -199,17 +206,20 @@ def _random_tree(rng: random.Random, params: GenParams) -> ProcessTree | None:
 
 
 def _random_spec(
-    tree: ProcessTree, base: EventLog, rng: random.Random, params: GenParams
+    tree: ProcessTree, base: EventLog, rng: random.Random, count: int, size: int, unrestricted: bool
 ) -> AggSpec | None:
+    """``count`` groups of ``size`` of the tree's activities (it has at
+    least ``count * size``) at their ``w_minmax``."""
     acts = sorted(activities(tree))
-    count = max(1, params.agg_group_count)
-    size = max(2, params.agg_group_size)
-    if count == 1 and size == 2 and not params.allow_unrestricted:
-        size = 3  # a lone two-activity group never clears the union bound
-    if len(acts) < count * size:
-        return None
     profile = behavioral_profile(tree)
-    trace_sets = [set(v) for v, _ in base.activity_variants()]
+    occurs = dict.fromkeys(acts, 0)  # activity -> bitset of the base variants holding it
+    for i, (variant, _) in enumerate(base.activity_variants()):
+        for a in set(variant):
+            occurs[a] |= 1 << i
+
+    def held(members: frozenset[str]) -> int:
+        return functools.reduce(operator.or_, map(occurs.__getitem__, members))
+
     for _ in range(10):
         chosen = rng.sample(acts, count * size)
         groups = {
@@ -217,27 +227,19 @@ def _random_spec(
             for i in range(count)
         }
         full = expand_spec(AggSpec(agg=groups, w_t=Fraction(1)), acts)
-        w_t, abstract = minmax_profile(profile, full)
-        if params.allow_unrestricted or _choices_hold(abstract, full, trace_sets):
+        w_t, relations = group_relations(profile, full)
+        # No two choice-related abstract activities may have members that
+        # co-occur in a trace.  Aggregations with such "false choices" are
+        # outside the class the round trip supports (stage one would have to
+        # drop events, leaving traces no reference trace can absorb), so the
+        # generator resamples them away.  Two concrete activities in choice
+        # never co-occur, so only the pairs with a group are checked.
+        if unrestricted or not any(
+            x != y and rel == CHOICE and held(full.agg[x]) & held(full.agg[y])
+            for (x, y), rel in relations.items()
+        ):
             return AggSpec(agg=groups, w_t=w_t)
     return None
-
-
-def _choices_hold(abstract, full: AggSpec, trace_sets: list[set[str]]) -> bool:
-    """True when no two choice-related abstract activities have members
-    co-occurring in a trace.  Aggregations with such "false choices" are
-    outside the class the round trip supports (stage one would have to drop
-    events, leaving traces no reference trace can absorb), so the generator
-    resamples them away."""
-    names = sorted(full.agg)
-    for i, x in enumerate(names):
-        for y in names[i + 1:]:
-            if abstract.relation(x, y) != CHOICE:
-                continue
-            gx, gy = full.agg[x], full.agg[y]
-            if any(ts & gx and ts & gy for ts in trace_sets):
-                return False
-    return True
 
 
 def _inflate(base: EventLog, rng: random.Random, params: GenParams) -> EventLog:
@@ -281,6 +283,8 @@ def verify(
     base: GenParams | None = None,
     negative_control: bool = False,
 ) -> VerificationSummary:
+    if n < 0:
+        raise ValueError(f"number of instances must be at least 0, not {n}")
     base = base if base is not None else GenParams()
     if negative_control:
         base = replace(

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterator
 
-from .logs import DFG, EventLog, dfg_of_log
+from .logs import Event, EventLog, Trace
 from .trees import ProcessTree, require_class
 
 DEFAULT_TRACE_CAP = 100_000
@@ -120,36 +120,32 @@ def minimal_log(tree: ProcessTree, trace_cap: int = DEFAULT_TRACE_CAP) -> EventL
     return log
 
 
-def _min_traces(t: ProcessTree) -> list[tuple[str, ...]]:
+def _min_traces(t: ProcessTree) -> list[Trace]:
+    """The traces of ``L_m(t)``, built from one shared event per leaf."""
     if t.is_tau:
         return [()]
     if t.is_activity:
-        return [(t.label,)]
+        return [(Event(t.label),)]
     if t.is_self_loop:
-        v = t.children[0].label
-        return [(v, v)]
+        event = Event(t.children[0].label)
+        return [(event, event)]
     subs = [_min_traces(c) for c in t.children]
     if t.label == "xor":
         return [trace for sub in subs for trace in sub]
     if t.label == "seq":
-        out = []
-        for pick in product(*subs):
-            out.append(tuple(x for part in pick for x in part))
-        return out
+        return [tuple(chain.from_iterable(pick)) for pick in product(*subs)]
     # and: all interleavings per combination, lexicographic in the sequence
-    # of child picks; distinct traces only.
-    out = []
-    for pick in product(*subs):
-        out.extend(dict.fromkeys(_interleavings(pick)))
-    return out
+    # of child picks; the children of a duplicate-free tree have disjoint
+    # alphabets, so the interleavings are distinct traces.
+    return [trace for pick in product(*subs) for trace in _interleavings(pick)]
 
 
-def _interleavings(seqs: tuple[tuple[str, ...], ...]) -> Iterator[tuple[str, ...]]:
+def _interleavings(seqs: tuple[Trace, ...]) -> Iterator[Trace]:
     """Order-preserving shuffles, in lexicographic child-pick order."""
     n = len(seqs)
     total = sum(len(s) for s in seqs)
 
-    def rec(positions: tuple[int, ...], acc: list[str]) -> Iterator[tuple[str, ...]]:
+    def rec(positions: tuple[int, ...], acc: list[Event]) -> Iterator[Trace]:
         if len(acc) == total:
             yield tuple(acc)
             return
@@ -195,17 +191,3 @@ def enumerate_language(tree: ProcessTree, loop_bound: int = 1) -> set[tuple[str,
         frontier = {f + r + b for f in frontier for r in redos for b in body}
         out |= frontier
     return out
-
-
-# ---------------------------------------------------------------------------
-# df-completeness
-# ---------------------------------------------------------------------------
-
-def dfg_of_model(tree: ProcessTree, trace_cap: int = DEFAULT_TRACE_CAP) -> DFG:
-    """``G(M)``, computed from the minimal df-complete log."""
-    return dfg_of_log(minimal_log(tree, trace_cap))
-
-
-def df_complete(log: EventLog, tree: ProcessTree, trace_cap: int = DEFAULT_TRACE_CAP) -> bool:
-    """True iff ``G(L)`` and ``G(M)`` are equal (nodes and edges)."""
-    return dfg_of_log(log) == dfg_of_model(tree, trace_cap)

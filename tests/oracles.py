@@ -5,36 +5,52 @@ The model side: ``bpa`` counts the concrete pairs of each abstract pair in
 integers and compares counts with the threshold by cross-multiplication.
 The functions here build every relation weight as an exact ``Fraction``
 and compare the weights themselves, which is the direct reading of the
-cascade.
+cascade.  The spec generator weighs only the pairs with a group; the
+oracle generator derives the full abstract profile of every candidate.
 
 The log side: ``bpa`` reads, abstracts and writes logs per variant, with
 multiplicities.  The functions here do the same work one trace at a time,
 expanding every multiplicity; the tests require the library's outputs to
-equal theirs, variant order, attributes and CSV bytes included.
+equal theirs, variant order, attributes and CSV bytes included.  Stage two
+ranks candidates by bitmasks of ordered label pairs; the oracle counts the
+inversions of the slot permutation pair by pair.
+
+Also here: small helpers that only the tests use (log metrics, replaying
+a transposition witness, df-completeness).
 """
 from __future__ import annotations
 
 import csv
+import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from bpa.event_abstraction import (
     MatchingError,
     KendallResult,
     _abstract_trace,
+    _slot_permutation,
     _transpose_to,
     choice_sets,
     even_split_sizes,
     kendall_distance,
 )
-from bpa.logs import Event, EventLog, Trace
-from bpa.model_abstraction import Abstraction, AggSpec
-from bpa.profiles import CHOICE, INVERSE, PARALLEL, STRICT, BehavioralProfile
-from bpa.semantics import minimal_log
-from bpa.trees import ProcessTree, require_class
+from bpa.logs import DFG, Event, EventLog, Trace, dfg_of_log
+from bpa.model_abstraction import Abstraction, AggSpec, expand_spec
+from bpa.profiles import (
+    CHOICE,
+    INVERSE,
+    PARALLEL,
+    STRICT,
+    BehavioralProfile,
+    behavioral_profile,
+    profile_from_function,
+)
+from bpa.semantics import DEFAULT_TRACE_CAP, minimal_log
+from bpa.trees import ProcessTree, activities, require_class
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +133,80 @@ def w_minmax(profile: BehavioralProfile, spec: AggSpec) -> Fraction:
     )
 
 
+def minmax_profile(profile: BehavioralProfile, spec: AggSpec) -> tuple[Fraction, BehavioralProfile]:
+    """``w_minmax`` and the full abstract profile derived at it."""
+    limit = w_minmax(profile, spec)
+    derived = profile_from_function(
+        spec.agg, lambda x, y: select(relation_weights(x, y, profile, spec), limit)
+    )
+    return limit, derived
+
+
+# ---------------------------------------------------------------------------
+# The spec generator's group check
+# ---------------------------------------------------------------------------
+
+def random_spec(
+    tree: ProcessTree, base: EventLog, rng: random.Random, count: int, size: int, unrestricted: bool
+) -> AggSpec | None:
+    """The generator's spec sampling, deriving the full abstract profile of
+    every candidate grouping at its ``w_minmax``."""
+    acts = sorted(activities(tree))
+    profile = behavioral_profile(tree)
+    trace_sets = [set(v) for v, _ in base.activity_variants()]
+    for _ in range(10):
+        chosen = rng.sample(acts, count * size)
+        groups = {
+            f"X{i + 1}": frozenset(chosen[i * size:(i + 1) * size])
+            for i in range(count)
+        }
+        full = expand_spec(AggSpec(agg=groups, w_t=Fraction(1)), acts)
+        w_t, abstract = minmax_profile(profile, full)
+        if unrestricted or choices_hold(abstract, full, trace_sets):
+            return AggSpec(agg=groups, w_t=w_t)
+    return None
+
+
+def choices_hold(abstract: BehavioralProfile, full: AggSpec, trace_sets: list[set[str]]) -> bool:
+    """True when no two choice-related abstract activities have members
+    co-occurring in a trace."""
+    names = sorted(full.agg)
+    for i, x in enumerate(names):
+        for y in names[i + 1:]:
+            if abstract.relation(x, y) != CHOICE:
+                continue
+            gx, gy = full.agg[x], full.agg[y]
+            if any(ts & gx and ts & gy for ts in trace_sets):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers
+# ---------------------------------------------------------------------------
+
+def log_metrics(log: EventLog) -> tuple[int, int]:
+    """``(number of traces, total number of events)``."""
+    return log.num_traces, log.num_events
+
+
+def apply_transpositions(items: Sequence, transpositions: Iterable[int]) -> list:
+    out = list(items)
+    for i in transpositions:
+        out[i], out[i + 1] = out[i + 1], out[i]
+    return out
+
+
+def dfg_of_model(tree: ProcessTree, trace_cap: int = DEFAULT_TRACE_CAP) -> DFG:
+    """``G(M)``, computed from the minimal df-complete log."""
+    return dfg_of_log(minimal_log(tree, trace_cap))
+
+
+def df_complete(log: EventLog, tree: ProcessTree, trace_cap: int = DEFAULT_TRACE_CAP) -> bool:
+    """True iff ``G(L)`` and ``G(M)`` are equal (nodes and edges)."""
+    return dfg_of_log(log) == dfg_of_model(tree, trace_cap)
+
+
 # ---------------------------------------------------------------------------
 # Stage one
 # ---------------------------------------------------------------------------
@@ -158,6 +248,13 @@ def delete_choice_activities(traces: list[Trace], abstraction: Abstraction) -> l
 # ---------------------------------------------------------------------------
 # Stage two
 # ---------------------------------------------------------------------------
+
+def inversions(source: Sequence[str], target: Sequence[str]) -> int:
+    """The Kendall distance of two sequences over one multiset, without a
+    witness: the inversion count of their slot permutation."""
+    perm = _slot_permutation(source, target)
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+
 
 @dataclass
 class QuotientSet:

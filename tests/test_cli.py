@@ -175,6 +175,14 @@ def test_verify_summary_line(capsys):
     assert "0 failures" in out
 
 
+@pytest.mark.parametrize("count", ["-3", "-1"])
+def test_verify_refuses_a_negative_instance_count(capsys, count):
+    assert main(["verify", "-n", count]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and "at least 0" in out.err
+    assert out.out == ""
+
+
 def test_verify_negative_control_fails(capsys):
     assert main(["verify", "-n", "2", "--negative-control"]) == 1
     out = capsys.readouterr().out

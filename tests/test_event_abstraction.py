@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from bpa import make_spec
 from bpa.event_abstraction import (
     MatchingError,
-    _inversions,
-    apply_transpositions,
+    _order_mask,
     choice_sets,
     delete_choice_activities,
     ea1,
@@ -32,7 +31,7 @@ from conftest import (
     ORDERS_TRACES,
     build_claims_log,
 )
-from oracles import quotient
+from oracles import apply_transpositions, inversions, quotient
 
 
 def acts(trace) -> tuple[str, ...]:
@@ -114,8 +113,29 @@ doubled = st.lists(st.tuples(st.sampled_from("abcd"), st.booleans()), max_size=7
 @settings(max_examples=150, deadline=None)
 def test_stage_two_ranking_matches_the_kendall_distance(source, rng):
     target = tuple(rng.sample(source, len(source)))
-    assert _inversions(source, target) == kendall_distance(source, target).distance
-    assert _inversions(target, source) == kendall_distance(target, source).distance
+    assert inversions(source, target) == kendall_distance(source, target).distance
+    assert inversions(target, source) == kendall_distance(target, source).distance
+
+
+#: longer sequences over few symbols, so that most symbols repeat
+repeating = st.lists(st.sampled_from("abc"), max_size=14).map(tuple)
+
+
+@given(doubled | repeating, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_order_masks_rank_by_the_kendall_distance(source, rng):
+    target = tuple(rng.sample(source, len(source)))
+    rank = (_order_mask(source) ^ _order_mask(target)).bit_count()
+    assert rank == inversions(source, target) == kendall_distance(source, target).distance
+    # the mask of a sequence does not depend on what it is compared with
+    assert _order_mask(source) == _order_mask(list(source))
+
+
+def test_order_mask_sets_one_bit_per_inverted_label_pair():
+    # labels in sorted order: (a,0) (a,1) (b,0); b before both copies of a
+    assert _order_mask(("b", "a", "a")) == (1 << 2) | (1 << (1 * 3 + 2))
+    assert _order_mask(("a", "a", "b")) == 0
+    assert _order_mask(()) == 0
 
 
 # ---------------------------------------------------------------------------

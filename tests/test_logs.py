@@ -11,15 +11,17 @@ from bpa.logs import (
     START,
     Event,
     EventLog,
+    as_trace,
     dfg_of_log,
     dfg_to_dot,
     format_compact,
     log_from_sequences,
-    log_metrics,
     read_compact,
     read_csv_log,
+    trace_activities,
     write_csv_log,
 )
+from oracles import log_metrics
 
 traces_strategy = st.lists(
     st.lists(st.sampled_from("abcde"), max_size=6).map(tuple), max_size=8
@@ -35,6 +37,33 @@ def test_event_attrs_lookup():
     assert e.get("concrete") == "x;y"
     assert e.get("missing") is None
     assert e.get("missing", "d") == "d"
+
+
+def test_as_trace_returns_an_event_tuple_itself():
+    trace = (Event("a"), Event("b", (("k", "v"),)))
+    assert as_trace(trace) is trace
+    assert as_trace(()) == ()
+
+
+def test_as_trace_builds_events_from_names():
+    events = [Event("a"), "b", Event("c", (("k", "v"),))]
+    trace = as_trace(events)
+    assert type(trace) is tuple
+    assert trace == (Event("a"), Event("b"), Event("c", (("k", "v"),)))
+    assert trace[0] is events[0] and trace[2] is events[2]
+    assert as_trace(["a", "b"]) == (Event("a"), Event("b"))
+    assert as_trace((Event("a"), "b")) == (Event("a"), Event("b"))
+
+
+def test_as_trace_keeps_event_subclasses():
+    class Tagged(Event):
+        pass
+
+    events = (Tagged("a"), Event("b"))
+    trace = as_trace(events)
+    assert trace == events
+    assert type(trace[0]) is Tagged and trace[0] is events[0]
+    assert trace_activities(trace) == ("a", "b")
 
 
 def test_with_attrs_returns_new_event():

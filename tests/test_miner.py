@@ -12,7 +12,7 @@ from bpa.miner import (
     check_restricted,
     discover,
 )
-from bpa.semantics import LogSizeError, df_complete, minimal_log, ntl
+from bpa.semantics import LogSizeError, minimal_log, ntl
 from bpa.trees import isomorphic, normal_form, parse_tree, render_tree, size
 from conftest import (
     CLAIMS_MODEL,
@@ -21,6 +21,7 @@ from conftest import (
     ORDERS_TRACES,
     random_tree,
 )
+from oracles import df_complete
 
 
 def tree_of(*seqs) -> str:

@@ -20,10 +20,10 @@ from bpa.model_abstraction import (
     derive_profile,
     dump_agg_spec,
     expand_spec,
+    group_relations,
     load_agg_spec,
     ma_bpa,
     make_spec,
-    minmax_profile,
     modular_decomposition,
     plan,
     relation_weights,
@@ -312,7 +312,43 @@ def test_w_minmax_matches_the_fraction_oracle(tree, rng):
     spec = random_spec(tree, rng, Fraction(1))
     limit = oracles.w_minmax(profile, spec)
     assert w_minmax(profile, spec) == limit
-    assert minmax_profile(profile, spec) == (limit, oracle_profile(profile, spec, limit))
+    assert completed(group_relations(profile, spec), profile, spec) == (
+        limit, oracle_profile(profile, spec, limit)
+    )
+
+
+def completed(result, profile, spec):
+    """``group_relations``' limit and relations, with the left-out pairs of
+    two single-member groups given their concrete relation."""
+    limit, relations = result
+
+    def relation(x, y):
+        if (x, y) in relations:
+            return relations[x, y]
+        assert len(spec.agg[x]) == len(spec.agg[y]) == 1
+        (v,), (u,) = spec.agg[x], spec.agg[y]
+        return profile.relation(v, u)
+
+    return limit, profile_from_function(spec.agg, relation)
+
+
+@pytest.mark.parametrize("count, size", [(2, 2), (1, 3), (3, 2)])
+@given(st.randoms(use_true_random=False), st.integers(6, 10))
+@settings(max_examples=40, deadline=None)
+def test_group_relations_match_the_fraction_oracle(count, size, rng, n_activities):
+    tree = random_tree(rng, n_activities=n_activities)
+    profile = behavioral_profile(tree)
+    names = sorted(activities(tree))
+    chosen = rng.sample(names, count * size)
+    groups = {f"X{i + 1}": chosen[i * size:(i + 1) * size] for i in range(count)}
+    spec = expand_spec(make_spec(groups, 1), names)
+    limit, relations = group_relations(profile, spec)
+    assert limit == oracles.w_minmax(profile, spec)
+    want = oracle_profile(profile, spec, limit)
+    # exactly the pairs with a group are weighed, in lexicographic orientation
+    grouped = [(x, y) for x, y in want.pairs() if len(spec.agg[x]) > 1 or len(spec.agg[y]) > 1]
+    assert relations == {(x, y): want.relation(x, y) for x, y in grouped}
+    assert completed((limit, relations), profile, spec) == (limit, want)
 
 
 def test_w_minmax_anchors():

@@ -1,10 +1,15 @@
 """Round trip (log -> model -> abstraction -> synchronized log ->
 rediscovery) and the randomized verifier around it."""
+import hashlib
+import json
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bpa.pipeline as pipeline
 from bpa import make_spec
@@ -14,6 +19,7 @@ from bpa.miner import check_restricted, discover
 from bpa.model_abstraction import (
     applicable,
     derive_profile,
+    dump_agg_spec,
     expand_spec,
     modular_decomposition,
     plan,
@@ -29,8 +35,8 @@ from bpa.pipeline import (
     verify,
 )
 from bpa.profiles import behavioral_profile
-from bpa.semantics import LogSizeError, df_complete, minimal_log
-from bpa.trees import activities, check_class, isomorphic, parse_tree, size
+from bpa.semantics import LogSizeError, minimal_log
+from bpa.trees import activities, check_class, isomorphic, parse_tree, render_tree, size
 from conftest import (
     BOUNDARY_GROUPS,
     BOUNDARY_MODEL,
@@ -40,7 +46,10 @@ from conftest import (
     ORDERS_GROUPS,
     ORDERS_TRACES,
     build_claims_log,
+    random_tree,
 )
+import oracles
+from oracles import df_complete
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +171,59 @@ def test_generation_is_deterministic_per_seed():
     assert a.model == b.model
     assert a.spec == b.spec
     assert a.log == b.log
+
+
+#: sha256 of the 300-instance criterion corpus (model, spec, log variants
+#: and round-trip abstract-log variants, attributes included), pinned when
+#: the corpus was generated with full abstract profiles per candidate spec
+CORPUS_DIGEST = "22af4bdeccce15303e2907cff5453c7bf5b01eeea48b8dfbba484d2c1134e23d"
+
+
+def _variants(log) -> list:
+    return [[[[e.activity, list(map(list, e.attrs))] for e in t], n] for t, n in log.variants()]
+
+
+def test_criterion_corpus_matches_its_pinned_digest(criterion_corpus):
+    digest = hashlib.sha256()
+    for inst in criterion_corpus:
+        report = pipeline._roundtrip(inst.log, inst.check, inst.abstraction)
+        record = [
+            inst.seed, render_tree(inst.model), dump_agg_spec(inst.spec),
+            _variants(inst.log), _variants(report.abstract_log),
+        ]
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST
+
+
+@pytest.mark.parametrize(
+    "count, size, unrestricted", [(2, 2, False), (1, 3, False), (3, 2, False), (1, 2, True)]
+)
+@given(st.randoms(use_true_random=False), st.integers(6, 10))
+@settings(max_examples=30, deadline=None)
+def test_spec_sampling_matches_the_full_profile_oracle(count, size, unrestricted, rng, n_activities):
+    tree = random_tree(rng, n_activities=n_activities)
+    try:
+        base = minimal_log(tree, trace_cap=400)
+    except LogSizeError:
+        assume(False)
+    seed = rng.randrange(1 << 30)
+    want = oracles.random_spec(tree, base, random.Random(seed), count, size, unrestricted)
+    got = pipeline._random_spec(tree, base, random.Random(seed), count, size, unrestricted)
+    assert got == want
+
+
+def test_generator_builds_no_log_for_a_tree_too_small_for_the_grouping(monkeypatch):
+    built = record_calls(monkeypatch, minimal_log)
+    for seed in range(20):
+        generate_instance(GenParams(seed=seed))
+    assert built
+    assert all(len(activities(tree)) >= 4 for tree, *_ in built)
+
+
+def test_verify_refuses_a_negative_instance_count():
+    with pytest.raises(ValueError, match="at least 0"):
+        verify(-3)
+    assert verify(0).instances == 0
 
 
 def test_generation_fails_loudly_when_parameters_are_unsatisfiable():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from bpa.semantics import (
     DEFAULT_TRACE_CAP,
     LogSizeError,
-    df_complete,
     enumerate_language,
     minimal_log,
     ntl,
@@ -17,6 +16,7 @@ from bpa.semantics import (
 from bpa.logs import EventLog, dfg_of_log
 from bpa.trees import parse_tree
 from conftest import CLAIMS_ABSTRACT, CLAIMS_REFERENCE, random_tree
+from oracles import df_complete
 
 def _fits(tree) -> bool:
     try:
