@@ -37,7 +37,6 @@ from .logs import (
 from .semantics import (
     LogSizeError,
     NtlResult,
-    enumerate_language,
     minimal_log,
     ntl,
 )
@@ -49,7 +48,6 @@ from .profiles import (
     BehavioralProfile,
     behavioral_profile,
     order_relations_graph,
-    weak_order_oracle,
 )
 from .model_abstraction import (
     Abstraction,

@@ -20,10 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import networkx as nx
-
 from .logs import EventLog
-from .trees import ClassReport, ProcessTree, leaf, node, normal_form, tau, walk
+from .trees import (
+    MAX_TREE_DEPTH,
+    ClassReport,
+    ProcessTree,
+    _partition,
+    leaf,
+    node,
+    normal_form,
+    tau,
+    walk,
+)
 
 #: Fall-throughs that disqualify a log from the restricted class.  Only
 #: "flower" can actually be executed here; the other three are detector
@@ -64,7 +72,9 @@ class RestrictionCheck:
 
 
 def discover(log: EventLog, audit: DiscoveryAudit | None = None) -> ProcessTree:
-    """Discover a process tree from the control-flow variants of ``log``."""
+    """Discover a process tree from the control-flow variants of ``log``;
+    raises ``ValueError`` before operators would nest deeper than
+    :data:`~bpa.trees.MAX_TREE_DEPTH` levels."""
     if not log:
         raise ValueError("cannot discover a model from an empty log")
     variants = sorted({acts for acts, _ in log.activity_variants()})
@@ -105,18 +115,26 @@ def audit_restrictions(tree: ProcessTree, audit: DiscoveryAudit) -> ClassReport:
 # Recursion
 # ---------------------------------------------------------------------------
 
-def _discover(variants: list[tuple[str, ...]], audit: DiscoveryAudit) -> ProcessTree:
+def _discover(
+    variants: list[tuple[str, ...]], audit: DiscoveryAudit, depth: int = 0
+) -> ProcessTree:
     variants = sorted(set(variants))
     alphabet = sorted({a for v in variants for a in v})
 
     if not alphabet:
         return tau()
-    if any(not v for v in variants):
-        audit.fallthroughs_used.append("empty-traces")
-        rest = _discover([v for v in variants if v], audit)
-        return node("xor", tau(), rest)
     if len(alphabet) == 1 and all(v == (alphabet[0],) for v in variants):
         return leaf(alphabet[0])
+    # every other outcome is an operator node at this depth
+    if depth == MAX_TREE_DEPTH:
+        raise ValueError(
+            f"discovery nests operators deeper than MAX_TREE_DEPTH ({MAX_TREE_DEPTH}) levels"
+        )
+    depth += 1
+    if any(not v for v in variants):
+        audit.fallthroughs_used.append("empty-traces")
+        rest = _discover([v for v in variants if v], audit, depth)
+        return node("xor", tau(), rest)
 
     edges, starts, ends = _dfg(variants)
 
@@ -127,17 +145,17 @@ def _discover(variants: list[tuple[str, ...]], audit: DiscoveryAudit) -> Process
         comp_of = {a: p for p in parts for a in p}
         for v in variants:
             assigned[comp_of[v[0]]].append(v)
-        return node("xor", *(_discover(assigned[p], audit) for p in parts))
+        return node("xor", *(_discover(assigned[p], audit, depth) for p in parts))
 
     groups = _sequence_cut(alphabet, edges, audit)
     if groups is not None:
         audit.cuts_used.append("sequence")
-        return node("seq", *(_discover(_project(variants, g), audit) for g in groups))
+        return node("seq", *(_discover(_project(variants, g), audit, depth) for g in groups))
 
     parts = _parallel_cut(alphabet, edges, starts, ends, audit)
     if parts is not None:
         audit.cuts_used.append("parallel")
-        return node("and", *(_discover(_project(variants, p), audit) for p in parts))
+        return node("and", *(_discover(_project(variants, p), audit, depth) for p in parts))
 
     if len(alphabet) == 1:
         audit.fallthroughs_used.append("strict-tau-loop")
@@ -166,58 +184,57 @@ def _project(variants, keep: frozenset[str]) -> list[tuple[str, ...]]:
 
 
 def _choice_cut(alphabet, edges) -> list[frozenset[str]] | None:
-    g = nx.Graph()
-    g.add_nodes_from(alphabet)
-    g.add_edges_from((a, b) for a, b in edges if a != b)
-    comps = sorted((frozenset(c) for c in nx.connected_components(g)), key=min)
-    return comps if len(comps) > 1 else None
+    parts = _partition(alphabet, edges)
+    return parts if len(parts) > 1 else None
+
+
+def _reachable(alphabet, edges) -> dict[str, set[str]]:
+    """The activities reachable from each activity over one or more edges."""
+    succ = {a: [] for a in alphabet}
+    for a, b in edges:
+        succ[a].append(b)
+    reach = {}
+    for a in alphabet:
+        seen: set[str] = set()
+        stack = list(succ[a])
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ[b])
+        reach[a] = seen
+    return reach
 
 
 def _sequence_cut(alphabet, edges, audit: DiscoveryAudit) -> list[frozenset[str]] | None:
-    dg = nx.DiGraph()
-    dg.add_nodes_from(alphabet)
-    dg.add_edges_from(edges)
-    cond = nx.condensation(dg)
-    reach = {i: nx.descendants(cond, i) for i in cond.nodes}
-
-    # pairwise mutually unreachable strongly connected components end up in
-    # the same group; union-find closes the merge transitively
-    uf = nx.utils.UnionFind(cond.nodes)
-    for i, j in combinations(cond.nodes, 2):
-        if j not in reach[i] and i not in reach[j]:
-            uf.union(i, j)
-    groups = [frozenset(s) for s in uf.to_sets()]
+    reach = _reachable(alphabet, edges)
+    # strongly connected and mutually unreachable activities share a group,
+    # closed transitively
+    groups = _partition(
+        alphabet,
+        ((a, b) for a, b in combinations(alphabet, 2) if (b in reach[a]) == (a in reach[b])),
+    )
     if len(groups) < 2:
         return None
 
-    # across two groups every component pair is reachable in exactly one
-    # direction; the direction must be uniform, else there is no cut
-    forward: dict[tuple[int, int], bool] = {}
+    # across two groups every activity pair is reachable in exactly one
+    # direction; the direction must be uniform, else there is no cut.  A
+    # uniform direction orders the groups totally, so the win counts differ.
+    wins = [0] * len(groups)
     for gi, gj in combinations(range(len(groups)), 2):
-        dirs = {j in reach[i] for i in groups[gi] for j in groups[gj]}
+        dirs = {b in reach[a] for a in groups[gi] for b in groups[gj]}
         if len(dirs) != 1:
             audit.failures.append("sequence-cut: mixed directions between groups")
             return None
-        forward[(gi, gj)] = dirs.pop()
-
-    wins = [0] * len(groups)
-    for (gi, gj), fwd in forward.items():
-        wins[gi if fwd else gj] += 1
-    order = sorted(range(len(groups)), key=lambda i: -wins[i])
-
-    members = cond.graph["mapping"]  # activity -> condensation node
-    return [
-        frozenset(a for a in alphabet if members[a] in groups[i])
-        for i in order
-    ]
+        wins[gi if dirs.pop() else gj] += 1
+    return [groups[i] for i in sorted(range(len(groups)), key=lambda i: -wins[i])]
 
 
 def _parallel_cut(alphabet, edges, starts, ends, audit: DiscoveryAudit) -> list[frozenset[str]] | None:
-    uf = nx.utils.UnionFind(alphabet)
-    for a, b in combinations(sorted(alphabet), 2):
-        if not ((a, b) in edges and (b, a) in edges):
-            uf.union(a, b)
-    parts = sorted((frozenset(s) for s in uf.to_sets()), key=min)
+    parts = _partition(
+        alphabet,
+        ((a, b) for a, b in combinations(alphabet, 2) if (a, b) not in edges or (b, a) not in edges),
+    )
     if len(parts) < 2:
         return None
     valid = [p for p in parts if p & starts and p & ends]

@@ -29,9 +29,8 @@ import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
-
-import networkx as nx
+from itertools import combinations
+from typing import Iterable, Mapping, NamedTuple
 
 from .profiles import (
     CHOICE,
@@ -47,6 +46,7 @@ from .profiles import (
 from .trees import (
     ClassReport,
     ProcessTree,
+    _partition,
     activities,
     check_class,
     normal_form,
@@ -155,8 +155,13 @@ def dump_agg_spec(spec: AggSpec) -> str:
 # Relation-weight derivation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationWeights:
+def _counts(n_xy: int, n_yx: int, total: int) -> tuple[int, int, int, int]:
+    """Numerators of the choice, strict, inverse and parallel weights."""
+    xnb, ynb = total - n_xy, total - n_yx
+    return min(xnb, ynb), min(n_xy, ynb), min(n_yx, xnb), min(n_xy, n_yx)
+
+
+class RelationWeights(NamedTuple):
     """Of the ``total`` concrete pairs (v, u) of an abstract pair (x, y),
     ``n_xy`` have v weakly before u (strict or parallel) and ``n_yx`` u before
     v (inverse or parallel); the rest are "not before".  The weights are
@@ -166,12 +171,7 @@ class RelationWeights:
     n_yx: int
     total: int
 
-    @property
-    def counts(self) -> tuple[int, int, int, int]:
-        """Numerators of the choice, strict, inverse and parallel weights."""
-        xnb, ynb = self.total - self.n_xy, self.total - self.n_yx
-        return min(xnb, ynb), min(self.n_xy, ynb), min(self.n_yx, xnb), min(self.n_xy, self.n_yx)
-
+    counts = property(lambda w: _counts(*w))
     x_before_y = property(lambda w: Fraction(w.n_xy, w.total))
     y_before_x = property(lambda w: Fraction(w.n_yx, w.total))
     x_not_before_y = property(lambda w: Fraction(w.total - w.n_xy, w.total))
@@ -192,14 +192,10 @@ def relation_weights(
     unknown = (gx | gy) - profile.activities
     if unknown:
         raise ValueError(f"activities not covered by the profile: {sorted(unknown)}")
-    return _pair_weights(gx, gy, profile.relations)
-
-
-def _pair_weights(gx, gy, relations) -> RelationWeights:
     n_xy = n_yx = 0
     for v in gx:
         for u in gy:
-            rel = relations[v, u]
+            rel = profile.relations[v, u]
             n_xy += rel in (STRICT, PARALLEL)
             n_yx += rel in (INVERSE, PARALLEL)
     return RelationWeights(n_xy, n_yx, len(gx) * len(gy))
@@ -213,11 +209,12 @@ def derive_ordering_relation(x: str, y: str, profile: BehavioralProfile, spec: A
     return _select(x, y, relation_weights(x, y, profile, spec), spec.w_t)
 
 
-def _select(x: str, y: str, w: RelationWeights, w_t: Fraction) -> str:
+def _select(x: str, y: str, w: tuple[int, int, int], w_t: Fraction) -> str:
+    """The cascade on the counts ``(n_xy, n_yx, total)`` of a pair."""
     # count / total >= p / q, by cross-multiplication
-    bar = w_t.numerator * w.total
+    bar = w_t.numerator * w[2]
     q = w_t.denominator
-    choice, strict, inverse, parallel = w.counts
+    choice, strict, inverse, parallel = counts = _counts(*w)
     if choice * q >= bar:
         return CHOICE
     if strict * q >= bar:
@@ -228,7 +225,7 @@ def _select(x: str, y: str, w: RelationWeights, w_t: Fraction) -> str:
         return PARALLEL
     logger.warning(
         "no relation weight of (%s, %s) reaches w_t=%s (max %s); defaulting to parallel",
-        x, y, w_t, w.w_max,
+        x, y, w_t, Fraction(max(counts), w[2]),
     )
     return PARALLEL
 
@@ -249,12 +246,12 @@ def _weight_table(profile: BehavioralProfile, spec: AggSpec) -> _WeightTable:
     }
 
 
-def _minmax(table: _WeightTable) -> Fraction:
+def _minmax(weights: Iterable[tuple[int, int, int]]) -> Fraction:
     top, total = 1, 1  # no weight exceeds 1
-    for w in table.values():
-        m = max(w.counts)
-        if m * total < top * w.total:  # m / w.total < top / total
-            top, total = m, w.total
+    for w in weights:
+        m = max(_counts(*w))
+        if m * total < top * w[2]:  # m / w[2] < top / total
+            top, total = m, w[2]
     return Fraction(top, total)
 
 
@@ -262,24 +259,55 @@ def w_minmax(profile: BehavioralProfile, spec: AggSpec) -> Fraction:
     """min over abstract pairs (self-pairs included) of the maximum derived
     relation weight — the largest threshold for which every pair still
     reaches some relation."""
-    return _minmax(_weight_table(profile, spec))
+    return _minmax(_weight_table(profile, spec).values())
 
 
-def group_relations(profile: BehavioralProfile, spec: AggSpec) -> tuple[Fraction, dict]:
-    """:func:`w_minmax` of an expanded spec and the relations derived at it
-    for the pairs, in lexicographic orientation, with a group of two or more
-    members.  Only these are weighed: a pair of two single-member groups
-    weighs 1 and, for any ``w_t`` in (0, 1], keeps its concrete relation."""
-    agg, relations = spec.agg, profile.relations
-    names = sorted(agg)
-    table = {
-        (x, y): _pair_weights(agg[x], agg[y], relations)
-        for i, x in enumerate(names)
-        for y in names[i:]
-        if len(agg[x]) > 1 or len(agg[y]) > 1
-    }
-    limit = _minmax(table)
-    return limit, {(x, y): _select(x, y, w, limit) for (x, y), w in table.items()}
+#: A concrete pair (v, u) adds ``_BEFORE`` when v is weakly before u and
+#: ``_AFTER`` when u is weakly before v, so the codes of an abstract pair sum
+#: to ``n_xy + n_yx * _AFTER``: a profile holding ``_AFTER`` pairs would not
+#: fit in memory.
+_BEFORE, _AFTER = 1, 1 << 32
+_CODES = {CHOICE: 0, STRICT: _BEFORE, INVERSE: _AFTER, PARALLEL: _BEFORE + _AFTER}
+
+
+def relation_codes(profile: BehavioralProfile) -> dict[str, dict[str, int]]:
+    """The relations of a profile as codes, ``codes[v][u]``, for
+    :func:`grouping_threshold`."""
+    acts = sorted(profile.activities)
+    return {v: {u: _CODES[profile.relations[v, u]] for u in acts} for v in acts}
+
+
+def grouping_threshold(
+    codes: dict[str, dict[str, int]], groups: Mapping[str, frozenset[str]], check_choices: bool
+) -> Fraction | None:
+    """:func:`w_minmax` of ``groups`` with every other activity of ``codes``
+    mapped to itself; with ``check_choices``, None when the cascade derives a
+    false choice at that threshold.
+
+    Only the pairs with a group are weighed: a pair of two single-member
+    groups weighs 1 and keeps its concrete relation at any ``w_t`` in (0, 1].
+    A false choice is choice between two abstract activities whose members
+    co-occur in a trace of the minimal log.  Two distinct activities of a
+    duplicate-free tree co-occur there exactly when they are not in choice
+    (their lowest common ancestor is not ``xor``), so the members of a pair
+    co-occur exactly when ``n_xy + n_yx > 0``."""
+    def weigh(gx, gy) -> tuple[int, int, int]:
+        packed = sum(codes[v][u] for v in gx for u in gy)
+        return packed % _AFTER, packed // _AFTER, len(gx) * len(gy)
+
+    grouped = set().union(*groups.values())
+    names = [*groups.items(), *((u, (u,)) for u in codes if u not in grouped)]
+    pairs = [
+        (x, y, weigh(gx, gy))
+        for i, (x, gx) in enumerate(names[:len(groups)])
+        for y, gy in names[i + 1:]
+    ]
+    limit = _minmax([weigh(g, g) for g in groups.values()] + [w for _, _, w in pairs])
+    if check_choices and any(
+        w[0] + w[1] and _select(x, y, w, limit) == CHOICE for x, y, w in pairs
+    ):
+        return None
+    return limit
 
 
 def derive_profile(profile: BehavioralProfile, spec: AggSpec) -> BehavioralProfile:
@@ -289,7 +317,7 @@ def derive_profile(profile: BehavioralProfile, spec: AggSpec) -> BehavioralProfi
     mirrored, which keeps the result consistent when strict and inverse
     weights tie."""
     table = _weight_table(profile, spec)
-    limit = _minmax(table)
+    limit = _minmax(table.values())
     if spec.w_t > limit:
         logger.warning(
             "w_t=%s exceeds w_minmax=%s; the default branch may fire", spec.w_t, limit
@@ -337,14 +365,7 @@ def modular_decomposition(graph: OrderRelationsGraph) -> MDTNode:
 
 
 def _components(vertices: frozenset[str], adjacent) -> list[frozenset[str]]:
-    g = nx.Graph()
-    g.add_nodes_from(vertices)
-    vs = sorted(vertices)
-    for i, a in enumerate(vs):
-        for b in vs[i + 1:]:
-            if adjacent(a, b):
-                g.add_edge(a, b)
-    return sorted((frozenset(c) for c in nx.connected_components(g)), key=min)
+    return _partition(vertices, (p for p in combinations(sorted(vertices), 2) if adjacent(*p)))
 
 
 def _decompose(vertices: frozenset[str], edges: set[tuple[str, str]]) -> MDTNode:
@@ -542,7 +563,7 @@ def plan(model: ProcessTree, spec: AggSpec) -> Abstraction:
         return Abstraction(full, ClassReport.from_violations(violations), new)
 
     table = _weight_table(behavioral_profile(model), full)
-    limit = _minmax(table)
+    limit = _minmax(table.values())
     if spec.w_t > limit:
         violations.append(
             ("threshold", "", f"w_t={spec.w_t} exceeds w_minmax={limit}")

@@ -14,12 +14,9 @@ shrunk to smaller counterexamples before reporting.
 """
 from __future__ import annotations
 
-import functools
-import operator
 import random
 from dataclasses import dataclass, field, replace
 from collections import Counter
-from fractions import Fraction
 
 from .event_abstraction import MatchingError, ea1, ea2
 from .logs import EventLog
@@ -28,11 +25,11 @@ from .model_abstraction import (
     AggSpec,
     Abstraction,
     dump_agg_spec,
-    expand_spec,
-    group_relations,
+    grouping_threshold,
     plan,
+    relation_codes,
 )
-from .profiles import CHOICE, behavioral_profile
+from .profiles import behavioral_profile
 from .semantics import DEFAULT_TRACE_CAP, LogSizeError, minimal_log, ntl
 from .trees import (
     ClassReport,
@@ -152,13 +149,13 @@ def generate_instance(params: GenParams) -> Instance:
         if tree is None or len(activities(tree)) < count * size:
             continue
         try:
-            base = minimal_log(tree, trace_cap=params.max_base_traces)
+            ntl(tree, trace_cap=params.max_base_traces)
         except LogSizeError:
             continue
-        spec = _random_spec(tree, base, rng, count, size, params.allow_unrestricted)
+        spec = _random_spec(tree, rng, count, size, params.allow_unrestricted)
         if spec is None:
             continue
-        log = _inflate(base, rng, params)
+        log = _inflate(minimal_log(tree, trace_cap=params.max_base_traces), rng, params)
         check = check_restricted(log)
         abstraction = plan(check.tree, spec)
         if not (params.allow_unrestricted or check.restricted and abstraction.report.in_class):
@@ -206,38 +203,26 @@ def _random_tree(rng: random.Random, params: GenParams) -> ProcessTree | None:
 
 
 def _random_spec(
-    tree: ProcessTree, base: EventLog, rng: random.Random, count: int, size: int, unrestricted: bool
+    tree: ProcessTree, rng: random.Random, count: int, size: int, unrestricted: bool
 ) -> AggSpec | None:
     """``count`` groups of ``size`` of the tree's activities (it has at
-    least ``count * size``) at their ``w_minmax``."""
+    least ``count * size``) at their ``w_minmax``.
+
+    No two choice-related abstract activities may have members that co-occur
+    in a trace.  Aggregations with such "false choices" are outside the class
+    the round trip supports (stage one would have to drop events, leaving
+    traces no reference trace can absorb), so the generator resamples them
+    away, unless it makes the unrestricted negative control."""
     acts = sorted(activities(tree))
-    profile = behavioral_profile(tree)
-    occurs = dict.fromkeys(acts, 0)  # activity -> bitset of the base variants holding it
-    for i, (variant, _) in enumerate(base.activity_variants()):
-        for a in set(variant):
-            occurs[a] |= 1 << i
-
-    def held(members: frozenset[str]) -> int:
-        return functools.reduce(operator.or_, map(occurs.__getitem__, members))
-
+    codes = relation_codes(behavioral_profile(tree))
     for _ in range(10):
         chosen = rng.sample(acts, count * size)
         groups = {
             f"X{i + 1}": frozenset(chosen[i * size:(i + 1) * size])
             for i in range(count)
         }
-        full = expand_spec(AggSpec(agg=groups, w_t=Fraction(1)), acts)
-        w_t, relations = group_relations(profile, full)
-        # No two choice-related abstract activities may have members that
-        # co-occur in a trace.  Aggregations with such "false choices" are
-        # outside the class the round trip supports (stage one would have to
-        # drop events, leaving traces no reference trace can absorb), so the
-        # generator resamples them away.  Two concrete activities in choice
-        # never co-occur, so only the pairs with a group are checked.
-        if unrestricted or not any(
-            x != y and rel == CHOICE and held(full.agg[x]) & held(full.agg[y])
-            for (x, y), rel in relations.items()
-        ):
+        w_t = grouping_threshold(codes, groups, check_choices=not unrestricted)
+        if w_t is not None:
             return AggSpec(agg=groups, w_t=w_t)
     return None
 

@@ -6,18 +6,15 @@ reverse gives strict order ``->``; neither direction gives choice ``+``;
 both directions give parallel ``||``.  Self-pairs are ``||`` exactly when
 the activity can repeat (here: sits under a self-loop), else ``+``.
 
-The production computation is structural: for duplicate-free trees the
-relation of a pair is fully determined by the lowest common ancestor.  A
-language-based oracle (`weak_order_oracle`) recomputes the profile from the
-minimal log plus one extra loop unrolling and is used for cross-checking.
+The computation is structural: for duplicate-free trees the relation of a
+pair is fully determined by the lowest common ancestor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .semantics import enumerate_language, minimal_log, ntl
-from .trees import ProcessTree, require_class, walk
+from .trees import ProcessTree, require_class
 
 STRICT = "->"
 INVERSE = "<-"
@@ -120,39 +117,6 @@ def behavioral_profile(model: ProcessTree) -> BehavioralProfile:
         raise AssertionError("distinct activities cannot share a loop ancestor in C_c")
 
     return profile_from_function(paths.keys(), lca_relation)
-
-
-# ---------------------------------------------------------------------------
-# Language-based oracle
-# ---------------------------------------------------------------------------
-
-def weak_order_oracle(model: ProcessTree, trace_cap: int = 2000) -> BehavioralProfile:
-    """Profile recomputed from traces (minimal log + one loop unrolling)."""
-    require_class(model, "C_c")
-    if ntl(model).tr > trace_cap:
-        raise RuntimeError(f"oracle cap of {trace_cap} traces exceeded")
-    traces = {acts for acts, _ in minimal_log(model).activity_variants()}
-    traces |= enumerate_language(model, 1)
-
-    weak: set[tuple[str, str]] = set()
-    for sigma in traces:
-        for i in range(len(sigma)):
-            for j in range(i + 1, len(sigma)):
-                weak.add((sigma[i], sigma[j]))
-
-    acts = {a for sigma in traces for a in sigma}
-
-    def from_weak(x: str, y: str) -> str:
-        xy, yx = (x, y) in weak, (y, x) in weak
-        if xy and yx:
-            return PARALLEL
-        if xy:
-            return STRICT
-        if yx:
-            return INVERSE
-        return CHOICE
-
-    return profile_from_function(acts, from_weak)
 
 
 # ---------------------------------------------------------------------------

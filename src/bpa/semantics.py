@@ -157,37 +157,3 @@ def _interleavings(seqs: tuple[Trace, ...]) -> Iterator[Trace]:
                 acc.pop()
 
     return rec((0,) * n, [])
-
-
-# ---------------------------------------------------------------------------
-# Bounded language enumeration (oracle)
-# ---------------------------------------------------------------------------
-
-def enumerate_language(tree: ProcessTree, loop_bound: int = 1) -> set[tuple[str, ...]]:
-    """All traces of ``M`` with every loop unrolled ``1..loop_bound+1``
-    times.  Intended as a small-scale oracle, not a production path."""
-    if tree.is_tau:
-        return {()}
-    if tree.is_activity:
-        return {(tree.label,)}
-    subs = [enumerate_language(c, loop_bound) for c in tree.children]
-    if tree.label == "xor":
-        return set().union(*subs)
-    if tree.label == "seq":
-        out = {()}
-        for sub in subs:
-            out = {a + b for a in out for b in sub}
-        return out
-    if tree.label == "and":
-        out = {()}
-        for sub in subs:
-            out = {m for a in out for b in sub for m in _interleavings((a, b))}
-        return out
-    # loop(body, redo_1..redo_k): body (redo body)^0..loop_bound
-    body, redos = subs[0], set().union(*subs[1:])
-    out = set(body)
-    frontier = set(body)
-    for _ in range(loop_bound):
-        frontier = {f + r + b for f in frontier for r in redos for b in body}
-        out |= frontier
-    return out

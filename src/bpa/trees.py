@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 OPERATORS = ("seq", "xor", "and", "loop")
 TAU = "tau"
@@ -220,6 +220,21 @@ def walk(tree: ProcessTree, path: str = "") -> Iterator[tuple[str, ProcessTree]]
 def activity_leaves(tree: ProcessTree) -> list[tuple[str, str]]:
     """``(path, activity)`` for every activity leaf, in document order."""
     return [(p, t.label) for p, t in walk(tree) if t.is_activity]
+
+
+def _partition(items: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[frozenset[str]]:
+    """Classes of the smallest equivalence on ``items`` relating every one of
+    ``pairs``, ordered by least member."""
+    cls = {a: {a} for a in items}
+    for a, b in pairs:
+        ca, cb = cls[a], cls[b]
+        if ca is not cb:
+            if len(ca) < len(cb):
+                ca, cb = cb, ca
+            ca |= cb
+            for c in cb:
+                cls[c] = ca
+    return sorted({id(c): frozenset(c) for c in cls.values()}.values(), key=min)
 
 
 # ---------------------------------------------------------------------------

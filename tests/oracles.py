@@ -5,8 +5,19 @@ The model side: ``bpa`` counts the concrete pairs of each abstract pair in
 integers and compares counts with the threshold by cross-multiplication.
 The functions here build every relation weight as an exact ``Fraction``
 and compare the weights themselves, which is the direct reading of the
-cascade.  The spec generator weighs only the pairs with a group; the
-oracle generator derives the full abstract profile of every candidate.
+cascade.  The spec generator weighs only the pairs with a group and reads
+co-occurrence off the concrete relations; the oracle generator derives the
+full abstract profile of every candidate and reads co-occurrence off the
+traces of the base log.
+
+The profiles: ``bpa`` derives the relation of a pair from its lowest
+common ancestor; the oracle reads it off the traces of the minimal log and
+one more loop unrolling (``enumerate_language``).
+
+The graph side: ``bpa`` partitions activity sets with a small union of
+classes and reads the sequence cut off per-activity reachability sets.  The
+networkx versions here are the cuts and components as first written: on
+graphs, condensations and union-finds.
 
 The log side: ``bpa`` reads, abstracts and writes logs per variant, with
 multiplicities.  The functions here do the same work one trace at a time,
@@ -25,8 +36,10 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Sequence
+
+import networkx as nx
 
 from bpa.event_abstraction import (
     MatchingError,
@@ -39,6 +52,7 @@ from bpa.event_abstraction import (
     kendall_distance,
 )
 from bpa.logs import DFG, Event, EventLog, Trace, dfg_of_log
+from bpa.miner import DiscoveryAudit
 from bpa.model_abstraction import Abstraction, AggSpec, expand_spec
 from bpa.profiles import (
     CHOICE,
@@ -49,7 +63,7 @@ from bpa.profiles import (
     behavioral_profile,
     profile_from_function,
 )
-from bpa.semantics import DEFAULT_TRACE_CAP, minimal_log
+from bpa.semantics import DEFAULT_TRACE_CAP, _interleavings, minimal_log, ntl
 from bpa.trees import ProcessTree, activities, require_class
 
 
@@ -140,6 +154,158 @@ def minmax_profile(profile: BehavioralProfile, spec: AggSpec) -> tuple[Fraction,
         spec.agg, lambda x, y: select(relation_weights(x, y, profile, spec), limit)
     )
     return limit, derived
+
+
+# ---------------------------------------------------------------------------
+# Bounded language enumeration and the weak-order profile
+# ---------------------------------------------------------------------------
+
+def enumerate_language(tree: ProcessTree, loop_bound: int = 1) -> set[tuple[str, ...]]:
+    """All traces of ``M`` with every loop unrolled ``1..loop_bound+1``
+    times."""
+    if tree.is_tau:
+        return {()}
+    if tree.is_activity:
+        return {(tree.label,)}
+    subs = [enumerate_language(c, loop_bound) for c in tree.children]
+    if tree.label == "xor":
+        return set().union(*subs)
+    if tree.label == "seq":
+        out = {()}
+        for sub in subs:
+            out = {a + b for a in out for b in sub}
+        return out
+    if tree.label == "and":
+        out = {()}
+        for sub in subs:
+            out = {m for a in out for b in sub for m in _interleavings((a, b))}
+        return out
+    # loop(body, redo_1..redo_k): body (redo body)^0..loop_bound
+    body, redos = subs[0], set().union(*subs[1:])
+    out = set(body)
+    frontier = set(body)
+    for _ in range(loop_bound):
+        frontier = {f + r + b for f in frontier for r in redos for b in body}
+        out |= frontier
+    return out
+
+
+def weak_order_oracle(model: ProcessTree, trace_cap: int = 2000) -> BehavioralProfile:
+    """Profile recomputed from traces (minimal log + one loop unrolling)."""
+    require_class(model, "C_c")
+    if ntl(model).tr > trace_cap:
+        raise RuntimeError(f"oracle cap of {trace_cap} traces exceeded")
+    traces = {acts for acts, _ in minimal_log(model).activity_variants()}
+    traces |= enumerate_language(model, 1)
+
+    weak: set[tuple[str, str]] = set()
+    for sigma in traces:
+        for i in range(len(sigma)):
+            for j in range(i + 1, len(sigma)):
+                weak.add((sigma[i], sigma[j]))
+
+    acts = {a for sigma in traces for a in sigma}
+
+    def from_weak(x: str, y: str) -> str:
+        xy, yx = (x, y) in weak, (y, x) in weak
+        if xy and yx:
+            return PARALLEL
+        if xy:
+            return STRICT
+        if yx:
+            return INVERSE
+        return CHOICE
+
+    return profile_from_function(acts, from_weak)
+
+
+# ---------------------------------------------------------------------------
+# Cuts and components on networkx
+# ---------------------------------------------------------------------------
+
+def choice_cut(alphabet, edges) -> list[frozenset[str]] | None:
+    g = nx.Graph()
+    g.add_nodes_from(alphabet)
+    g.add_edges_from((a, b) for a, b in edges if a != b)
+    comps = sorted((frozenset(c) for c in nx.connected_components(g)), key=min)
+    return comps if len(comps) > 1 else None
+
+
+def sequence_cut(alphabet, edges, audit: DiscoveryAudit) -> list[frozenset[str]] | None:
+    dg = nx.DiGraph()
+    dg.add_nodes_from(alphabet)
+    dg.add_edges_from(edges)
+    cond = nx.condensation(dg)
+    reach = {i: nx.descendants(cond, i) for i in cond.nodes}
+
+    # pairwise mutually unreachable strongly connected components end up in
+    # the same group; union-find closes the merge transitively
+    uf = nx.utils.UnionFind(cond.nodes)
+    for i, j in combinations(cond.nodes, 2):
+        if j not in reach[i] and i not in reach[j]:
+            uf.union(i, j)
+    groups = [frozenset(s) for s in uf.to_sets()]
+    if len(groups) < 2:
+        return None
+
+    # across two groups every component pair is reachable in exactly one
+    # direction; the direction must be uniform, else there is no cut
+    forward: dict[tuple[int, int], bool] = {}
+    for gi, gj in combinations(range(len(groups)), 2):
+        dirs = {j in reach[i] for i in groups[gi] for j in groups[gj]}
+        if len(dirs) != 1:
+            audit.failures.append("sequence-cut: mixed directions between groups")
+            return None
+        forward[(gi, gj)] = dirs.pop()
+
+    wins = [0] * len(groups)
+    for (gi, gj), fwd in forward.items():
+        wins[gi if fwd else gj] += 1
+    order = sorted(range(len(groups)), key=lambda i: -wins[i])
+
+    members = cond.graph["mapping"]  # activity -> condensation node
+    return [
+        frozenset(a for a in alphabet if members[a] in groups[i])
+        for i in order
+    ]
+
+
+def parallel_cut(alphabet, edges, starts, ends, audit: DiscoveryAudit) -> list[frozenset[str]] | None:
+    uf = nx.utils.UnionFind(alphabet)
+    for a, b in combinations(sorted(alphabet), 2):
+        if not ((a, b) in edges and (b, a) in edges):
+            uf.union(a, b)
+    parts = sorted((frozenset(s) for s in uf.to_sets()), key=min)
+    if len(parts) < 2:
+        return None
+    valid = [p for p in parts if p & starts and p & ends]
+    if not valid:
+        audit.failures.append("parallel-cut: no part contains both a start and an end activity")
+        return None
+    if len(valid) < len(parts):
+        # parts without a start or end activity cannot stand alone
+        merged = set(valid[0])
+        for p in parts:
+            if p not in valid:
+                merged |= p
+        parts = sorted(
+            [frozenset(merged) if p == valid[0] else p for p in valid], key=min
+        )
+    if len(parts) < 2:
+        audit.failures.append("parallel-cut: merging start/end-less parts left one part")
+        return None
+    return parts
+
+
+def components(vertices: frozenset[str], adjacent) -> list[frozenset[str]]:
+    g = nx.Graph()
+    g.add_nodes_from(vertices)
+    vs = sorted(vertices)
+    for i, a in enumerate(vs):
+        for b in vs[i + 1:]:
+            if adjacent(a, b):
+                g.add_edge(a, b)
+    return sorted((frozenset(c) for c in nx.connected_components(g)), key=min)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from bpa.profiles import (
     STRICT,
     behavioral_profile,
     order_relations_graph,
-    weak_order_oracle,
 )
 from bpa.semantics import minimal_log, ntl
 from bpa.trees import (
@@ -57,6 +56,7 @@ from conftest import (
     build_claims_log,
     random_tree,
 )
+from oracles import weak_order_oracle
 from test_event_abstraction import bfs_swap_distance
 from test_model_abstraction import brute_force_strong_modules, random_profile
 

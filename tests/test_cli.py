@@ -2,6 +2,7 @@
 (0 ok, 2 gate failure, 1 error)."""
 import json
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -241,3 +242,38 @@ def test_trees_beyond_the_depth_limit_are_an_error(tmp_path, depth, capsys):
     model.write_text(nested(depth))
     assert main(["minlog", str(model)]) == 1
     assert "error: operators nested deeper" in capsys.readouterr().err
+
+
+def deep_log(path, levels: int, tail: tuple[str, ...] = ()) -> str:
+    """A log whose discovered tree nests ``2 * levels`` operators: trace k is
+    a0..a(k-1),bk, and the last trace runs a0..a(levels), then ``tail``."""
+    traces = [[f"a{i}" for i in range(k)] + [f"b{k}"] for k in range(levels)]
+    traces.append([f"a{i}" for i in range(levels + 1)] + list(tail))
+    path.write_text("".join(",".join(t) + "\n" for t in traces))
+    return str(path)
+
+
+def test_discovery_reaches_the_depth_limit(tmp_path, capsys):
+    log = deep_log(tmp_path / "log.txt", MAX_TREE_DEPTH // 2)
+    assert main(["discover", log]) == 0
+    tree = capsys.readouterr().out.splitlines()[0]
+    assert tree.startswith("xor(seq(a0,xor(seq(a1,")
+    assert max(accumulate((c == "(") - (c == ")") for c in tree)) == MAX_TREE_DEPTH
+    agg = tmp_path / "agg.json"
+    agg.write_text(json.dumps({"w_t": "1/2", "X": ["b0", "a0", "b1"]}))
+    assert main(["roundtrip", log, str(agg)]) == 2  # the restriction gate
+    assert "isomorphic: yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("levels, tail", [(MAX_TREE_DEPTH // 2, ("a_end", "a_end")), (150, ())])
+def test_discovery_beyond_the_depth_limit_is_an_error(tmp_path, levels, tail, capsys):
+    # a self-loop under the deepest sequence is one operator level too many;
+    # at 150 levels the tree would be 300 deep
+    log = deep_log(tmp_path / "log.txt", levels, tail)
+    agg = tmp_path / "agg.json"
+    agg.write_text(json.dumps({"w_t": "1/2", "X": ["b0", "a0", "b1"]}))
+    for command in (["discover", log], ["roundtrip", log, str(agg)]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: discovery nests operators deeper than MAX_TREE_DEPTH")
+        assert "Traceback" not in err

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bpa.miner as miner
+import oracles
 from bpa.logs import EventLog, log_from_sequences
 from bpa.miner import (
     FORBIDDEN_FALLTHROUGHS,
@@ -13,7 +15,7 @@ from bpa.miner import (
     discover,
 )
 from bpa.semantics import LogSizeError, minimal_log, ntl
-from bpa.trees import isomorphic, normal_form, parse_tree, render_tree, size
+from bpa.trees import activities, isomorphic, normal_form, parse_tree, render_tree, size
 from conftest import (
     CLAIMS_MODEL,
     ORDERS_DESIGNED,
@@ -134,6 +136,55 @@ def test_orders_discovery_overgeneralizes_the_designed_model():
     log = log_from_sequences(ORDERS_TRACES)
     assert df_complete(log, parse_tree(ORDERS_DESIGNED))
     assert not df_complete(log, parse_tree(ORDERS_DISCOVERED))
+
+
+# ---------------------------------------------------------------------------
+# The cuts against their networkx oracles
+# ---------------------------------------------------------------------------
+
+#: random variants over six activities, with repeats and empty traces
+random_variants = st.lists(
+    st.lists(st.sampled_from("abcdef"), max_size=6).map(tuple), min_size=1, max_size=8
+)
+
+
+@st.composite
+def model_variants(draw):
+    """Some variants of the minimal log of a random tree: logs with cuts."""
+    tree = draw(trees)
+    try:
+        variants = [acts for acts, _ in minimal_log(tree, trace_cap=200).activity_variants()]
+    except LogSizeError:
+        variants = [(a,) for a in sorted(activities(tree))]
+    return draw(st.lists(st.sampled_from(variants), min_size=1, max_size=12))
+
+
+@given(random_variants | model_variants())
+@settings(max_examples=300, deadline=None)
+def test_cuts_match_the_networkx_oracles(variants):
+    nonempty = sorted({v for v in variants if v})
+    if nonempty:
+        alphabet = sorted({a for v in nonempty for a in v})
+        edges, starts, ends = miner._dfg(nonempty)
+        assert miner._choice_cut(alphabet, edges) == oracles.choice_cut(alphabet, edges)
+        got, want = DiscoveryAudit(), DiscoveryAudit()
+        assert miner._sequence_cut(alphabet, edges, got) == oracles.sequence_cut(
+            alphabet, edges, want
+        )
+        assert miner._parallel_cut(alphabet, edges, starts, ends, got) == oracles.parallel_cut(
+            alphabet, edges, starts, ends, want
+        )
+        assert got.failures == want.failures
+
+    # and through the whole recursion: the same tree and the same audit
+    log = log_from_sequences(variants)
+    got, want = DiscoveryAudit(), DiscoveryAudit()
+    tree = discover(log, got)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("choice_cut", "sequence_cut", "parallel_cut"):
+            patch.setattr(miner, f"_{name}", getattr(oracles, name))
+        assert discover(log, want) == tree
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

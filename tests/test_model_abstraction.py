@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,18 +14,20 @@ from bpa.model_abstraction import (
     AggSpec,
     InapplicableError,
     MDTNode,
+    _components,
     RelationWeights,
     applicable,
     derive_ordering_relation,
     derive_profile,
     dump_agg_spec,
     expand_spec,
-    group_relations,
+    grouping_threshold,
     load_agg_spec,
     ma_bpa,
     make_spec,
     modular_decomposition,
     plan,
+    relation_codes,
     relation_weights,
     synthesize,
     w_minmax,
@@ -40,6 +42,7 @@ from bpa.profiles import (
     order_relations_graph,
     profile_from_function,
 )
+from bpa.semantics import LogSizeError, minimal_log
 from bpa.trees import activities, isomorphic, parse_tree, render_tree, size
 from conftest import (
     CLAIMS_ABSTRACT,
@@ -312,43 +315,31 @@ def test_w_minmax_matches_the_fraction_oracle(tree, rng):
     spec = random_spec(tree, rng, Fraction(1))
     limit = oracles.w_minmax(profile, spec)
     assert w_minmax(profile, spec) == limit
-    assert completed(group_relations(profile, spec), profile, spec) == (
-        limit, oracle_profile(profile, spec, limit)
+    assert derive_profile(profile, AggSpec(agg=spec.agg, w_t=limit)) == oracle_profile(
+        profile, spec, limit
     )
-
-
-def completed(result, profile, spec):
-    """``group_relations``' limit and relations, with the left-out pairs of
-    two single-member groups given their concrete relation."""
-    limit, relations = result
-
-    def relation(x, y):
-        if (x, y) in relations:
-            return relations[x, y]
-        assert len(spec.agg[x]) == len(spec.agg[y]) == 1
-        (v,), (u,) = spec.agg[x], spec.agg[y]
-        return profile.relation(v, u)
-
-    return limit, profile_from_function(spec.agg, relation)
 
 
 @pytest.mark.parametrize("count, size", [(2, 2), (1, 3), (3, 2)])
 @given(st.randoms(use_true_random=False), st.integers(6, 10))
 @settings(max_examples=40, deadline=None)
-def test_group_relations_match_the_fraction_oracle(count, size, rng, n_activities):
+def test_grouping_threshold_matches_the_fraction_oracle(count, size, rng, n_activities):
     tree = random_tree(rng, n_activities=n_activities)
+    try:
+        traces = [set(v) for v, _ in minimal_log(tree, trace_cap=400).activity_variants()]
+    except LogSizeError:
+        assume(False)
     profile = behavioral_profile(tree)
     names = sorted(activities(tree))
     chosen = rng.sample(names, count * size)
-    groups = {f"X{i + 1}": chosen[i * size:(i + 1) * size] for i in range(count)}
+    groups = {f"X{i + 1}": frozenset(chosen[i * size:(i + 1) * size]) for i in range(count)}
     spec = expand_spec(make_spec(groups, 1), names)
-    limit, relations = group_relations(profile, spec)
-    assert limit == oracles.w_minmax(profile, spec)
-    want = oracle_profile(profile, spec, limit)
-    # exactly the pairs with a group are weighed, in lexicographic orientation
-    grouped = [(x, y) for x, y in want.pairs() if len(spec.agg[x]) > 1 or len(spec.agg[y]) > 1]
-    assert relations == {(x, y): want.relation(x, y) for x, y in grouped}
-    assert completed((limit, relations), profile, spec) == (limit, want)
+    limit = oracles.w_minmax(profile, spec)
+    codes = relation_codes(profile)
+    assert grouping_threshold(codes, groups, check_choices=False) == limit
+    # the false-choice check, on the full abstract profile and the traces
+    holds = oracles.choices_hold(oracle_profile(profile, spec, limit), spec, traces)
+    assert grouping_threshold(codes, groups, check_choices=True) == (limit if holds else None)
 
 
 def test_w_minmax_anchors():
@@ -487,6 +478,23 @@ def test_mdt_nodes_are_exactly_the_strong_modules(rng):
     graph = order_relations_graph(random_profile(rng))
     mdt = modular_decomposition(graph)
     assert mdt.member_sets() == brute_force_strong_modules(graph)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_components_match_the_networkx_oracle(rng):
+    # the three partitions the decomposition takes, on random graphs
+    edges = order_relations_graph(random_profile(rng)).edges
+    vertices = frozenset(v for e in edges for v in e) or frozenset({"v0"})
+
+    def has_any(a, b):
+        return (a, b) in edges or (b, a) in edges
+
+    def has_both(a, b):
+        return (a, b) in edges and (b, a) in edges
+
+    for adjacent in (has_any, lambda a, b: not has_both(a, b), lambda a, b: has_any(a, b) == has_both(a, b)):
+        assert _components(vertices, adjacent) == oracles.components(vertices, adjacent)
 
 
 @given(st.randoms(use_true_random=False))

@@ -15,10 +15,11 @@ from bpa.profiles import (
     mirror,
     order_relations_graph,
     profile_from_function,
-    weak_order_oracle,
 )
-from bpa.trees import parse_tree
+from bpa.semantics import LogSizeError, minimal_log
+from bpa.trees import node, normal_form, parse_tree, tau
 from conftest import CLAIMS_MODEL, ORDERS_DESIGNED, ORDERS_DISCOVERED, random_tree
+from oracles import weak_order_oracle
 
 trees = st.builds(random_tree, st.randoms(use_true_random=False))
 
@@ -131,6 +132,29 @@ def test_structural_equals_language_oracle(tree):
     except RuntimeError:
         return  # language too large for the oracle; covered by sized corpus
     assert behavioral_profile(tree) == oracle
+
+
+def with_skips(tree, rng):
+    """``tree`` with random subtrees made optional, as ``xor(tau, ...)``."""
+    if tree.is_operator and not tree.is_self_loop:
+        tree = node(tree.label, *(with_skips(c, rng) for c in tree.children))
+    return node("xor", tau(), tree) if rng.random() < 0.25 else tree
+
+
+@given(trees, st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_distinct_activities_co_occur_exactly_when_not_in_choice(tree, rng):
+    # the spec generator decides false choices from this, without a log
+    tree = normal_form(with_skips(tree, rng))
+    try:
+        log = minimal_log(tree, trace_cap=2000)
+    except LogSizeError:
+        return  # too large to enumerate; the relations alone are covered above
+    together = {(a, b) for acts, _ in log.activity_variants() for a in acts for b in acts}
+    profile = behavioral_profile(tree)
+    for a, b in profile.pairs():
+        if a != b:
+            assert ((a, b) in together) == (profile.relation(a, b) != CHOICE)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from bpa.semantics import (
     DEFAULT_TRACE_CAP,
     LogSizeError,
-    enumerate_language,
     minimal_log,
     ntl,
 )
 from bpa.logs import EventLog, dfg_of_log
 from bpa.trees import parse_tree
 from conftest import CLAIMS_ABSTRACT, CLAIMS_REFERENCE, random_tree
-from oracles import df_complete
+from oracles import df_complete, enumerate_language
 
 def _fits(tree) -> bool:
     try:
