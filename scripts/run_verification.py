@@ -5,17 +5,23 @@ Generates seeded restricted instances, runs the full
 discover/abstract/re-discover chain on each, and reports failures together
 with shrunk counterexamples.  Unlike the CLI's ``verify`` subcommand this
 sweeps a small grid of generator settings, to show the synchronization
-property is not an artifact of one tree shape.
+property is not an artifact of one tree or aggregation shape.
 """
 import argparse
 import time
 
 from bpa.pipeline import GenParams, verify
 
+#: tree shapes, then aggregation shapes other than the default two groups of
+#: two.  On these the applicability gate still passes some aggregations
+#: whose round trip fails, so they report failures until the gate refuses them.
 SWEEP = (
     GenParams(max_depth=3, activity_budget=8),
     GenParams(),
     GenParams(max_depth=5, activity_budget=16, max_children=4),
+    GenParams(agg_group_count=1, agg_group_size=3),
+    GenParams(agg_group_count=1, agg_group_size=4),
+    GenParams(agg_group_count=3, agg_group_size=2),
 )
 
 
@@ -40,7 +46,8 @@ def main(argv=None) -> int:
         elapsed = time.perf_counter() - start
         print(
             f"depth<={params.max_depth} budget={params.activity_budget} "
-            f"children<={params.max_children}: {summary.instances} instances, "
+            f"children<={params.max_children} "
+            f"groups={params.agg_group_count}x{params.agg_group_size}: {summary.instances} instances, "
             f"{summary.iso_checks} isomorphic, {summary.profile_checks} profile "
             f"checks, {summary.count_checks} count checks, "
             f"{len(summary.failures)} failures  [{elapsed:.1f}s]"

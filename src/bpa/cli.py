@@ -31,8 +31,6 @@ from .pipeline import roundtrip, verify
 from .profiles import behavioral_profile, graph_to_dot, order_relations_graph
 from .semantics import LogSizeError, minimal_log, ntl
 from .trees import (
-    ClassViolationError,
-    TreeSyntaxError,
     parse_tree,
     render_tree,
     size,
@@ -48,23 +46,28 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (TreeSyntaxError, ClassViolationError, LogSizeError) as exc:
+    except (ValueError, OSError, LogSizeError) as exc:  # parse and class errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+
+
+#: help texts of the positional arguments
+_POSITIONALS = {
+    "log": "event log (.csv or compact format)",
+    "model": "process tree (file or literal)",
+    "agg": "aggregation spec (JSON file)",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument(
+    """Each subcommand takes only the flags its handler reads."""
+    fmt, out, attrs = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    fmt.add_argument(
         "--format", choices=("text", "dot", "csv"), default="text",
         help="output format (default: text)",
     )
-    common.add_argument("--out", metavar="DIR", help="write outputs into DIR instead of stdout")
-    common.add_argument(
+    out.add_argument("--out", metavar="DIR", help="write outputs into DIR instead of stdout")
+    attrs.add_argument(
         "--attrs", action="store_true",
         help="treat CSV traces with different attributes as different",
     )
@@ -74,35 +77,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Synchronized abstraction of process models and event logs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, positionals, flags, help_text in (
+        ("discover", cmd_discover, ["log"], [fmt, out, attrs], "discover a process tree from a log"),
+        ("profile", cmd_profile, ["model"], [fmt, out], "behavioral profile of a model"),
+        ("minlog", cmd_minlog, ["model"], [fmt, out], "minimal log of a model"),
+        ("abstract-model", cmd_abstract_model, ["model", "agg"], [fmt, out], "abstract a model"),
+        ("abstract-log", cmd_abstract_log, ["log", "agg"], [fmt, out, attrs],
+         "abstract a log in sync with its model"),
+        ("roundtrip", cmd_roundtrip, ["log", "agg"], [out, attrs],
+         "abstract model and log, rediscover, compare"),
+    ):
+        p = sub.add_parser(name, parents=flags, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg, help=_POSITIONALS[arg])
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("discover", parents=[common], help="discover a process tree from a log")
-    p.add_argument("log", help="event log (.csv or compact format)")
-    p.set_defaults(handler=cmd_discover)
-
-    p = sub.add_parser("profile", parents=[common], help="behavioral profile of a model")
-    p.add_argument("model", help="process tree (file or literal)")
-    p.set_defaults(handler=cmd_profile)
-
-    p = sub.add_parser("minlog", parents=[common], help="minimal log of a model")
-    p.add_argument("model", help="process tree (file or literal)")
-    p.set_defaults(handler=cmd_minlog)
-
-    p = sub.add_parser("abstract-model", parents=[common], help="abstract a model")
-    p.add_argument("model", help="process tree (file or literal)")
-    p.add_argument("agg", help="aggregation spec (JSON file)")
-    p.set_defaults(handler=cmd_abstract_model)
-
-    p = sub.add_parser("abstract-log", parents=[common], help="abstract a log in sync with its model")
-    p.add_argument("log", help="event log (.csv or compact format)")
-    p.add_argument("agg", help="aggregation spec (JSON file)")
-    p.set_defaults(handler=cmd_abstract_log)
-
-    p = sub.add_parser("roundtrip", parents=[common], help="abstract model and log, rediscover, compare")
-    p.add_argument("log", help="event log (.csv or compact format)")
-    p.add_argument("agg", help="aggregation spec (JSON file)")
-    p.set_defaults(handler=cmd_roundtrip)
-
-    p = sub.add_parser("verify", parents=[common], help="random round trips with invariant checks")
+    p = sub.add_parser("verify", help="random round trips with invariant checks")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("-n", "--instances", type=int, default=25, help="number of instances")
     p.add_argument(
         "--negative-control", action="store_true",

@@ -22,6 +22,7 @@ from itertools import combinations
 
 from .logs import EventLog
 from .trees import (
+    KEYWORDS,
     MAX_TREE_DEPTH,
     ClassReport,
     ProcessTree,
@@ -73,11 +74,15 @@ class RestrictionCheck:
 
 def discover(log: EventLog, audit: DiscoveryAudit | None = None) -> ProcessTree:
     """Discover a process tree from the control-flow variants of ``log``;
-    raises ``ValueError`` before operators would nest deeper than
+    raises ``ValueError`` on an activity named like a tree keyword, and
+    before operators would nest deeper than
     :data:`~bpa.trees.MAX_TREE_DEPTH` levels."""
     if not log:
         raise ValueError("cannot discover a model from an empty log")
     variants = sorted({acts for acts, _ in log.activity_variants()})
+    keywords = sorted(KEYWORDS & {a for acts in variants for a in acts})
+    if keywords:
+        raise ValueError(f"activity {keywords[0]!r} is a tree keyword")
     tree = _discover(variants, audit if audit is not None else DiscoveryAudit())
     return normal_form(tree)
 

@@ -17,11 +17,13 @@ abstract names to sets of concrete activities, and a rational threshold
    no corresponding operator, so synthesis fails on them.
 
 :func:`plan` runs the applicability gate and all three steps once, sharing
-one table of relation weights and one decomposition tree.
+one weight table and one decomposition tree.
 
-Weights are integer counts of concrete pairs, compared with ``w_t = p/q`` by
-cross-multiplication and exposed as exact ``Fraction`` values: thresholds sit
-at boundary values like 1/2 and 5/9, where floats would betray us.
+Every weighing reads the concrete relations as one table of integer codes
+(:func:`relation_codes`) and counts the pairs of two groups in one place.
+Weights are these counts, compared with ``w_t = p/q`` by cross-multiplication
+and exposed as exact ``Fraction`` values: thresholds sit at boundary values
+like 1/2 and 5/9, where floats would betray us.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .profiles import (
     CHOICE,
@@ -44,6 +46,8 @@ from .profiles import (
     profile_from_function,
 )
 from .trees import (
+    KEYWORDS,
+    _IDENT_RE,
     ClassReport,
     ProcessTree,
     _partition,
@@ -91,10 +95,7 @@ class AggSpec:
         return set(self.agg)
 
     def covered(self) -> set[str]:
-        out: set[str] = set()
-        for members in self.agg.values():
-            out |= members
-        return out
+        return set().union(*self.agg.values())
 
     def new_names(self, alphabet: Iterable[str]) -> set[str]:
         """Abstract names that are not concrete activities."""
@@ -107,6 +108,11 @@ class AggSpec:
 
 
 def make_spec(groups: Mapping[str, Iterable[str]], w_t) -> AggSpec:
+    """The spec of ``groups`` at ``w_t``; raises ``ValueError`` on a group
+    name that is not a valid activity name."""
+    for name in groups:
+        if name in KEYWORDS or not _IDENT_RE.fullmatch(name):
+            raise ValueError(f"aggregation group name {name!r} is not a valid activity name")
     return AggSpec(
         agg={name: frozenset(members) for name, members in groups.items()},
         w_t=Fraction(w_t),
@@ -155,10 +161,47 @@ def dump_agg_spec(spec: AggSpec) -> str:
 # Relation-weight derivation
 # ---------------------------------------------------------------------------
 
+#: A concrete pair (v, u) adds ``_BEFORE`` when v is weakly before u and
+#: ``_AFTER`` when u is weakly before v, so the codes of two groups sum to
+#: ``n_xy + n_yx * _AFTER``: a profile holding ``_AFTER`` pairs would not
+#: fit in memory.
+_BEFORE, _AFTER = 1, 1 << 32
+_CODES = {CHOICE: 0, STRICT: _BEFORE, INVERSE: _AFTER, PARALLEL: _BEFORE + _AFTER}
+
+_Codes = dict[str, dict[str, int]]
+#: per abstract pair: the number of concrete pairs and the choice, strict,
+#: inverse and parallel counts
+_Table = dict[tuple[str, str], tuple[int, tuple[int, int, int, int]]]
+
+
+def relation_codes(profile: BehavioralProfile) -> _Codes:
+    """The relations of a profile as codes, ``codes[v][u]``: the one input
+    every weighing reads."""
+    acts = sorted(profile.activities)
+    return {v: {u: _CODES[profile.relations[v, u]] for u in acts} for v in acts}
+
+
+def _weigh(codes: _Codes, gx: Collection[str], gy: Collection[str]) -> tuple[int, int, int]:
+    """``(n_xy, n_yx, total)`` of the concrete pairs (v, u) of two groups."""
+    packed = sum(codes[v][u] for v in gx for u in gy)
+    return packed % _AFTER, packed // _AFTER, len(gx) * len(gy)
+
+
 def _counts(n_xy: int, n_yx: int, total: int) -> tuple[int, int, int, int]:
     """Numerators of the choice, strict, inverse and parallel weights."""
     xnb, ynb = total - n_xy, total - n_yx
     return min(xnb, ynb), min(n_xy, ynb), min(n_yx, xnb), min(n_xy, n_yx)
+
+
+def _table(codes: _Codes, groups: list[tuple[str, Collection[str]]], weighed: int) -> _Table:
+    """The pairs of ``groups`` (self-pairs included) with one of the first
+    ``weighed`` groups, keyed in the orientation of the list."""
+    table = {}
+    for i, (x, gx) in enumerate(groups[:weighed]):
+        for y, gy in groups[i:]:
+            w = _weigh(codes, gx, gy)
+            table[x, y] = w[2], _counts(*w)
+    return table
 
 
 class RelationWeights(NamedTuple):
@@ -171,34 +214,31 @@ class RelationWeights(NamedTuple):
     n_yx: int
     total: int
 
-    counts = property(lambda w: _counts(*w))
     x_before_y = property(lambda w: Fraction(w.n_xy, w.total))
     y_before_x = property(lambda w: Fraction(w.n_yx, w.total))
     x_not_before_y = property(lambda w: Fraction(w.total - w.n_xy, w.total))
     y_not_before_x = property(lambda w: Fraction(w.total - w.n_yx, w.total))
-    choice = property(lambda w: Fraction(w.counts[0], w.total))
-    strict = property(lambda w: Fraction(w.counts[1], w.total))
-    inverse = property(lambda w: Fraction(w.counts[2], w.total))
-    parallel = property(lambda w: Fraction(w.counts[3], w.total))
-    w_max = property(lambda w: Fraction(max(w.counts), w.total))
+    choice = property(lambda w: Fraction(_counts(*w)[0], w.total))
+    strict = property(lambda w: Fraction(_counts(*w)[1], w.total))
+    inverse = property(lambda w: Fraction(_counts(*w)[2], w.total))
+    parallel = property(lambda w: Fraction(_counts(*w)[3], w.total))
+    w_max = property(lambda w: Fraction(max(_counts(*w)), w.total))
+
+
+def _check(profile: BehavioralProfile, groups: Collection[frozenset[str]]) -> None:
+    if not all(groups):
+        raise ValueError("empty aggregation group")
+    unknown = set().union(*groups) - profile.activities
+    if unknown:
+        raise ValueError(f"activities not covered by the profile: {sorted(unknown)}")
 
 
 def relation_weights(
     x: str, y: str, profile: BehavioralProfile, spec: AggSpec
 ) -> RelationWeights:
     gx, gy = spec.agg[x], spec.agg[y]
-    if not gx or not gy:
-        raise ValueError(f"empty aggregation group for {x!r} or {y!r}")
-    unknown = (gx | gy) - profile.activities
-    if unknown:
-        raise ValueError(f"activities not covered by the profile: {sorted(unknown)}")
-    n_xy = n_yx = 0
-    for v in gx:
-        for u in gy:
-            rel = profile.relations[v, u]
-            n_xy += rel in (STRICT, PARALLEL)
-            n_yx += rel in (INVERSE, PARALLEL)
-    return RelationWeights(n_xy, n_yx, len(gx) * len(gy))
+    _check(profile, (gx, gy))
+    return RelationWeights(*_weigh(relation_codes(profile), gx, gy))
 
 
 def derive_ordering_relation(x: str, y: str, profile: BehavioralProfile, spec: AggSpec) -> str:
@@ -206,15 +246,16 @@ def derive_ordering_relation(x: str, y: str, profile: BehavioralProfile, spec: A
     choice, strict order (flipped if the inverse weight dominates),
     inverse, parallel; below-threshold pairs default to parallel with a
     diagnostic (unreachable for thresholds within the applicable range)."""
-    return _select(x, y, relation_weights(x, y, profile, spec), spec.w_t)
+    w = relation_weights(x, y, profile, spec)
+    return _select(x, y, w.total, _counts(*w), spec.w_t)
 
 
-def _select(x: str, y: str, w: tuple[int, int, int], w_t: Fraction) -> str:
-    """The cascade on the counts ``(n_xy, n_yx, total)`` of a pair."""
+def _select(x: str, y: str, total: int, counts: tuple[int, int, int, int], w_t: Fraction) -> str:
+    """The cascade on the counts of a pair."""
     # count / total >= p / q, by cross-multiplication
-    bar = w_t.numerator * w[2]
+    bar = w_t.numerator * total
     q = w_t.denominator
-    choice, strict, inverse, parallel = counts = _counts(*w)
+    choice, strict, inverse, parallel = counts
     if choice * q >= bar:
         return CHOICE
     if strict * q >= bar:
@@ -225,60 +266,40 @@ def _select(x: str, y: str, w: tuple[int, int, int], w_t: Fraction) -> str:
         return PARALLEL
     logger.warning(
         "no relation weight of (%s, %s) reaches w_t=%s (max %s); defaulting to parallel",
-        x, y, w_t, Fraction(max(counts), w[2]),
+        x, y, w_t, Fraction(max(counts), total),
     )
     return PARALLEL
 
 
-_WeightTable = dict[tuple[str, str], RelationWeights]
-
-
-def _weight_table(profile: BehavioralProfile, spec: AggSpec) -> _WeightTable:
-    """Weights of every unordered abstract pair (self-pairs included), keyed
-    in lexicographic orientation."""
-    names = sorted(spec.agg)
-    if not names:
-        raise ValueError("empty aggregation")
-    return {
-        (x, y): relation_weights(x, y, profile, spec)
-        for i, x in enumerate(names)
-        for y in names[i:]
-    }
-
-
-def _minmax(weights: Iterable[tuple[int, int, int]]) -> Fraction:
+def _minmax(table: _Table) -> Fraction:
     top, total = 1, 1  # no weight exceeds 1
-    for w in weights:
-        m = max(_counts(*w))
-        if m * total < top * w[2]:  # m / w[2] < top / total
-            top, total = m, w[2]
+    for n, counts in table.values():
+        m = max(counts)
+        if m * total < top * n:  # m / n < top / total
+            top, total = m, n
     return Fraction(top, total)
+
+
+def _weigh_spec(profile: BehavioralProfile, spec: AggSpec) -> tuple[_Table, Fraction]:
+    """The table of every unordered pair of ``spec`` (self-pairs included),
+    keyed in lexicographic orientation, and its ``w_minmax``."""
+    groups = sorted(spec.agg.items())
+    if not groups:
+        raise ValueError("empty aggregation")
+    _check(profile, spec.agg.values())
+    table = _table(relation_codes(profile), groups, len(groups))
+    return table, _minmax(table)
 
 
 def w_minmax(profile: BehavioralProfile, spec: AggSpec) -> Fraction:
     """min over abstract pairs (self-pairs included) of the maximum derived
     relation weight — the largest threshold for which every pair still
     reaches some relation."""
-    return _minmax(_weight_table(profile, spec).values())
-
-
-#: A concrete pair (v, u) adds ``_BEFORE`` when v is weakly before u and
-#: ``_AFTER`` when u is weakly before v, so the codes of an abstract pair sum
-#: to ``n_xy + n_yx * _AFTER``: a profile holding ``_AFTER`` pairs would not
-#: fit in memory.
-_BEFORE, _AFTER = 1, 1 << 32
-_CODES = {CHOICE: 0, STRICT: _BEFORE, INVERSE: _AFTER, PARALLEL: _BEFORE + _AFTER}
-
-
-def relation_codes(profile: BehavioralProfile) -> dict[str, dict[str, int]]:
-    """The relations of a profile as codes, ``codes[v][u]``, for
-    :func:`grouping_threshold`."""
-    acts = sorted(profile.activities)
-    return {v: {u: _CODES[profile.relations[v, u]] for u in acts} for v in acts}
+    return _weigh_spec(profile, spec)[1]
 
 
 def grouping_threshold(
-    codes: dict[str, dict[str, int]], groups: Mapping[str, frozenset[str]], check_choices: bool
+    codes: _Codes, groups: Mapping[str, frozenset[str]], check_choices: bool
 ) -> Fraction | None:
     """:func:`w_minmax` of ``groups`` with every other activity of ``codes``
     mapped to itself; with ``check_choices``, None when the cascade derives a
@@ -290,21 +311,14 @@ def grouping_threshold(
     co-occur in a trace of the minimal log.  Two distinct activities of a
     duplicate-free tree co-occur there exactly when they are not in choice
     (their lowest common ancestor is not ``xor``), so the members of a pair
-    co-occur exactly when ``n_xy + n_yx > 0``."""
-    def weigh(gx, gy) -> tuple[int, int, int]:
-        packed = sum(codes[v][u] for v in gx for u in gy)
-        return packed % _AFTER, packed // _AFTER, len(gx) * len(gy)
-
+    co-occur exactly when its choice count is below its total."""
     grouped = set().union(*groups.values())
     names = [*groups.items(), *((u, (u,)) for u in codes if u not in grouped)]
-    pairs = [
-        (x, y, weigh(gx, gy))
-        for i, (x, gx) in enumerate(names[:len(groups)])
-        for y, gy in names[i + 1:]
-    ]
-    limit = _minmax([weigh(g, g) for g in groups.values()] + [w for _, _, w in pairs])
+    table = _table(codes, names, len(groups))
+    limit = _minmax(table)
     if check_choices and any(
-        w[0] + w[1] and _select(x, y, w, limit) == CHOICE for x, y, w in pairs
+        x != y and counts[0] < total and _select(x, y, total, counts, limit) == CHOICE
+        for (x, y), (total, counts) in table.items()
     ):
         return None
     return limit
@@ -316,8 +330,7 @@ def derive_profile(profile: BehavioralProfile, spec: AggSpec) -> BehavioralProfi
     Each unordered pair is derived once in lexicographic orientation and
     mirrored, which keeps the result consistent when strict and inverse
     weights tie."""
-    table = _weight_table(profile, spec)
-    limit = _minmax(table.values())
+    table, limit = _weigh_spec(profile, spec)
     if spec.w_t > limit:
         logger.warning(
             "w_t=%s exceeds w_minmax=%s; the default branch may fire", spec.w_t, limit
@@ -325,10 +338,10 @@ def derive_profile(profile: BehavioralProfile, spec: AggSpec) -> BehavioralProfi
     return _derive(table, spec.w_t)
 
 
-def _derive(table: _WeightTable, w_t: Fraction) -> BehavioralProfile:
+def _derive(table: _Table, w_t: Fraction) -> BehavioralProfile:
     return profile_from_function(
         {x for x, _ in table},  # every name has its self-pair
-        lambda x, y: _select(x, y, table[(x, y)], w_t),
+        lambda x, y: _select(x, y, *table[x, y], w_t),
     )
 
 
@@ -519,12 +532,8 @@ def plan(model: ProcessTree, spec: AggSpec) -> Abstraction:
     Violations are reported, not thrown."""
     violations: list[tuple[str, str, str]] = []
 
-    class_report = check_class(model, "C_c")
-    for rule, path, msg in class_report.violations:
-        if rule == "duplicate-activity":
-            violations.append((rule, path, msg))
-        else:
-            violations.append(("model-class", path, msg))
+    for rule, path, msg in check_class(model, "C_c").violations:
+        violations.append((rule if rule == "duplicate-activity" else "model-class", path, msg))
 
     alphabet = activities(model)
     full = expand_spec(spec, alphabet)
@@ -552,9 +561,7 @@ def plan(model: ProcessTree, spec: AggSpec) -> Abstraction:
         )
     for y in sorted(kept):
         if full.agg[y] != frozenset({y}):
-            violations.append(
-                ("kept-not-identity", "", f"kept activity '{y}' must map to itself")
-            )
+            violations.append(("kept-not-identity", "", f"kept activity '{y}' must map to itself"))
 
     if not (0 < spec.w_t <= 1):
         violations.append(("threshold", "", f"w_t={spec.w_t} outside (0, 1]"))
@@ -562,21 +569,16 @@ def plan(model: ProcessTree, spec: AggSpec) -> Abstraction:
     if violations:
         return Abstraction(full, ClassReport.from_violations(violations), new)
 
-    table = _weight_table(behavioral_profile(model), full)
-    limit = _minmax(table.values())
+    table, limit = _weigh_spec(behavioral_profile(model), full)
     if spec.w_t > limit:
-        violations.append(
-            ("threshold", "", f"w_t={spec.w_t} exceeds w_minmax={limit}")
-        )
+        violations.append(("threshold", "", f"w_t={spec.w_t} exceeds w_minmax={limit}"))
         return Abstraction(full, ClassReport.from_violations(violations), new)
 
     abstract = _derive(table, full.w_t)
     mdt = modular_decomposition(order_relations_graph(abstract))
     for n in mdt.iter_nodes():
         if n.kind == "primitive":
-            violations.append(
-                ("primitive-module", "", f"primitive module over {sorted(n.members)}")
-            )
+            violations.append(("primitive-module", "", f"primitive module over {sorted(n.members)}"))
     report = ClassReport.from_violations(violations)
     tree = _synthesize(abstract, mdt) if report.in_class else None
     return Abstraction(full, report, new, abstract, tree)

@@ -12,7 +12,7 @@ from bpa.logs import format_compact, log_from_sequences
 from bpa.model_abstraction import dump_agg_spec
 from bpa.pipeline import GenParams, generate_instance
 from bpa.trees import MAX_TREE_DEPTH
-from conftest import CLAIMS_ABSTRACT, CLAIMS_GROUPS, build_claims_log
+from conftest import CLAIMS_ABSTRACT, CLAIMS_GROUPS, CLAIMS_MODEL, build_claims_log
 from test_trees import nested
 
 
@@ -277,3 +277,74 @@ def test_discovery_beyond_the_depth_limit_is_an_error(tmp_path, levels, tail, ca
         err = capsys.readouterr().err
         assert err.startswith("error: discovery nests operators deeper than MAX_TREE_DEPTH")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("keyword", ["tau", "seq", "loop"])
+@pytest.mark.parametrize("suffix", ["txt", "csv"])
+def test_discover_refuses_tree_keywords_as_activities(tmp_path, capsys, keyword, suffix):
+    # as a leaf, 'tau' would become a silent step and an operator name a node
+    path = tmp_path / f"log.{suffix}"
+    if suffix == "csv":
+        path.write_text(f"case,activity\n1,a\n1,{keyword}\n1,b\n2,a\n2,b\n")
+    else:
+        path.write_text(f"a,{keyword},b\na,b\n")
+    assert main(["discover", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: activity '{keyword}' is a tree keyword")
+
+
+@pytest.mark.parametrize("name", ["tau", "seq", "loop", "X-1"])
+def test_abstract_model_refuses_invalid_group_names(tmp_path, capsys, name):
+    agg = tmp_path / "agg.json"
+    agg.write_text(json.dumps({"w_t": "1/2", name: ["b", "c", "d"]}))
+    assert main(["abstract-model", "seq(a,and(b,c,d),e)", str(agg)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: aggregation group name '{name}' is not a valid activity name")
+
+
+#: the flags each subcommand reads; every other flag is a usage error
+FLAGS_READ = {
+    "discover": {"--format", "--out", "--attrs"},
+    "profile": {"--format", "--out"},
+    "minlog": {"--format", "--out"},
+    "abstract-model": {"--format", "--out"},
+    "abstract-log": {"--format", "--out", "--attrs"},
+    "roundtrip": {"--out", "--attrs"},
+    "verify": {"--seed"},
+}
+FLAG_VALUES = {"--format": ["csv"], "--out": ["out"], "--attrs": [], "--seed": ["1"]}
+POSITIONALS = {
+    "discover": ["log.txt"], "profile": ["seq(a,b)"], "minlog": ["seq(a,b)"],
+    "abstract-model": ["seq(a,b)", "agg.json"], "abstract-log": ["log.txt", "agg.json"],
+    "roundtrip": ["log.txt", "agg.json"], "verify": [],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, read in FLAGS_READ.items() for f in FLAG_VALUES if f not in read],
+)
+def test_subcommands_refuse_flags_they_do_not_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *POSITIONALS[command], flag, *FLAG_VALUES[flag]])
+    assert exc.value.code == 2  # argparse's usage error
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS_READ))
+def test_subcommands_accept_the_flags_they_read(tmp_path, claims_files, capsys, command):
+    log_path, agg_path = claims_files
+    positionals = {
+        "discover": [log_path], "profile": [CLAIMS_ABSTRACT], "minlog": [CLAIMS_ABSTRACT],
+        "abstract-model": [CLAIMS_MODEL, agg_path], "abstract-log": [log_path, agg_path],
+        "roundtrip": [log_path, agg_path], "verify": ["-n", "1"],
+    }[command]
+    out_dir = tmp_path / "out"
+    values = {**FLAG_VALUES, "--out": [str(out_dir)]}
+    flags = [item for f in sorted(FLAGS_READ[command]) for item in (f, *values[f])]
+    assert main([command, *positionals, *flags]) in (0, 2)  # roundtrip: the restriction gate
+    assert "error" not in capsys.readouterr().err
+    if "--out" in FLAGS_READ[command]:
+        assert any(out_dir.iterdir())

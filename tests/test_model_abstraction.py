@@ -1,5 +1,6 @@
 """Model abstraction: relation weights, threshold cascade, modular
 decomposition, synthesis, applicability gates, and the end-to-end mapping."""
+import json
 import logging
 import random
 from fractions import Fraction
@@ -120,6 +121,14 @@ def test_load_agg_spec_rejects_non_list_groups():
 def test_spec_json_roundtrip():
     spec = make_spec(CLAIMS_GROUPS, Fraction(1, 2))
     assert load_agg_spec(dump_agg_spec(spec)) == spec
+
+
+@pytest.mark.parametrize("name", ["tau", "seq", "xor", "and", "loop", "X-1", "a b", ""])
+def test_specs_refuse_group_names_that_are_not_activity_names(name):
+    with pytest.raises(ValueError, match=f"group name '{name}' is not a valid activity name"):
+        make_spec({name: ["b", "c"]}, Fraction(1, 2))
+    with pytest.raises(ValueError, match=f"group name '{name}' is not a valid activity name"):
+        load_agg_spec(json.dumps({"w_t": "1/2", name: ["b", "c"]}))
 
 
 def test_dump_keeps_identity_groups_implicit():
@@ -598,7 +607,8 @@ def test_applicable_reports_primitive_modules():
 
 def assert_plan_matches_the_oracle(model, spec):
     abstraction = plan(model, spec)
-    derived = derive_profile(behavioral_profile(model), expand_spec(spec, activities(model)))
+    full = expand_spec(spec, activities(model))
+    derived = oracle_profile(behavioral_profile(model), full, spec.w_t)
     assert abstraction.report.in_class
     assert abstraction.profile == derived
     assert abstraction.tree == synthesize(derived)

@@ -24,6 +24,7 @@ from bpa.model_abstraction import (
     expand_spec,
     modular_decomposition,
     plan,
+    relation_codes,
     relation_weights,
     w_minmax,
 )
@@ -138,14 +139,15 @@ def test_roundtrip_computes_the_model_side_once(monkeypatch, which):
     log, spec = roundtrip_input(which)
     profiles = record_calls(monkeypatch, behavioral_profile)
     mdts = record_calls(monkeypatch, modular_decomposition)
+    codes = record_calls(monkeypatch, relation_codes)
     weights = record_calls(monkeypatch, relation_weights)
     report = roundtrip(log, spec)
     assert report.isomorphic is True
     assert [args[0] for args in profiles] == [report.model]
     assert len(mdts) == 1
-    pairs = Counter(frozenset(args[:2]) for args in weights)
-    assert pairs and max(pairs.values()) == 1
-    assert set().union(*pairs) <= set(report.abstraction.spec.agg)
+    # every abstract pair is weighed on one table of the model's relations
+    assert [args[0] for args in codes] == [behavioral_profile(report.model)]
+    assert weights == []
 
 
 # ---------------------------------------------------------------------------
