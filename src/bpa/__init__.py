@@ -64,7 +64,6 @@ from .model_abstraction import (
     modular_decomposition,
     plan,
     relation_weights,
-    synthesize,
     w_minmax,
 )
 from .miner import (

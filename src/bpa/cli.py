@@ -51,6 +51,13 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Usage errors exit 1, as every input error does: 2 is the gate's."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 #: help texts of the positional arguments
 _POSITIONALS = {
     "log": "event log (.csv or compact format)",
@@ -72,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="treat CSV traces with different attributes as different",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bpa",
         description="Synchronized abstraction of process models and event logs.",
     )

@@ -13,7 +13,8 @@ traces are grouped by activity multiset, matched to reference traces with
 the same multiset, and reordered by the fewest adjacent transpositions
 (Kendall tau distance), marking every moved event.  The matching ranks
 candidates by Kendall distance, read off bitmasks built once per trace
-(:func:`_order_mask`), and builds a witness only for the pairs it takes.
+(:func:`_order_mask`), and marks the events of a taken trace that are in an
+inverted pair: those a shortest sequence of adjacent transpositions moves.
 
 Rediscovering a model from the abstracted log yields a tree isomorphic to
 the abstracted model, provided the log lies in the restricted class and
@@ -25,6 +26,7 @@ import functools
 import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import networkx as nx
@@ -103,44 +105,48 @@ def _order_mask(acts: Sequence[str]) -> int:
 
 def ea1(log: EventLog, abstraction: Abstraction) -> EventLog:
     """Replace aggregated activities by abstract events, once per variant,
-    then break co-occurrence of choice-related abstract activities."""
+    then break co-occurrence of choice-related abstract activities.  What
+    becomes of each abstract activity is worked out once per activity set."""
     cover: dict[str, list[str]] = defaultdict(list)
     for x in sorted(abstraction.new_names):
         for a in abstraction.spec.agg[x]:
             cover[a].append(x)
 
-    runs = [(_abstract_trace(trace, abstraction, cover), n) for trace, n in log.variants()]
+    outcomes = functools.cache(functools.partial(_outcomes, abstraction, cover))
+    runs = []
+    for trace, n in log.variants():
+        # each abstract activity stands at the first of its members
+        pending = dict(outcomes(frozenset(trace_activities(trace))))
+        out: list[Event] = []
+        for event in trace:
+            groups = cover.get(event.activity)
+            if groups:
+                for x in groups:
+                    out.extend(pending.pop(x, ()))
+            else:
+                out.append(event)
+        runs.append((tuple(out), n))
     result = EventLog(attrs_identity=True)
     for trace, n in delete_choice_activities(runs, abstraction):
         result.add(trace, n)
     return result
 
 
-def _abstract_trace(trace: Trace, abstraction: Abstraction, cover) -> Trace:
+def _outcomes(abstraction: Abstraction, cover, acts: frozenset[str]) -> dict[str, tuple[Event, ...]]:
+    """The events standing for each abstract activity in a trace with
+    activities ``acts``: none when a kept one is in choice relation with it,
+    else one, or two when self-parallel, listing the members present."""
     profile = abstraction.profile
-    trace_acts = {e.activity for e in trace}
-    kept_here = sorted(
-        a for a in trace_acts if a not in cover and a in profile.activities
-    )
-    handled: set[str] = set()
-    out: list[Event] = []
-    for event in trace:
-        groups = cover.get(event.activity)
-        if not groups:
-            out.append(event)
+    kept_here = sorted(a for a in acts if a not in cover and a in profile.activities)
+    emit: dict[str, tuple[Event, ...]] = {}
+    for x in {x for a in acts for x in cover.get(a, ())}:
+        if any(profile.relation(v, x) == CHOICE for v in kept_here):
+            emit[x] = ()
             continue
-        for x in groups:
-            if x in handled:
-                continue
-            handled.add(x)
-            if any(profile.relation(v, x) == CHOICE for v in kept_here):
-                continue  # a kept activity excludes x; drop it for good
-            concrete = ";".join(sorted(abstraction.spec.agg[x] & trace_acts))
-            abstract_event = Event(x, attrs=(("concrete", concrete),))
-            out.append(abstract_event)
-            if profile.relation(x, x) == PARALLEL:
-                out.append(abstract_event)
-    return tuple(out)
+        concrete = ";".join(sorted(abstraction.spec.agg[x] & acts))
+        event = Event(x, attrs=(("concrete", concrete),))
+        emit[x] = (event, event) if profile.relation(x, x) == PARALLEL else (event,)
+    return emit
 
 
 def choice_sets(abstraction: Abstraction) -> list[tuple[str, ...]]:
@@ -226,7 +232,7 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
         acts = trace_activities(trace)
         item = [index, trace, acts, n, _order_mask(acts)]
         pool_classes.setdefault(tuple(sorted(acts)), []).append(item)
-    witness = functools.cache(kendall_distance)  # variants may share a sequence
+    reorder = functools.cache(_reorder)  # variants may share a sequence
     result = EventLog(attrs_identity=True)
     for sig, remaining in pool_classes.items():
         refs = ref_classes.pop(sig, None)
@@ -251,21 +257,26 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
                 if not item[3]:
                     remaining.pop(0)
             for _, trace, acts, n in sorted(taken):
-                result.add(_transpose_to(trace, witness(acts, ref_acts)), n)
+                order = reorder(acts, ref_acts)
+                events = (trace[i].with_attrs(transposed="true") if m else trace[i] for i, m in order)
+                result.add(tuple(events), n)
     if ref_classes:
         acts = ", ".join(f"{a}:{n}" for a, n in Counter(next(iter(ref_classes))).items())
         raise MatchingError(f"reference traces with activities {{{acts}}} got no match")
     return result
 
 
-def _transpose_to(trace: Trace, witness: KendallResult) -> Trace:
-    events = list(trace)
-    for i in witness.transpositions:
-        events[i], events[i + 1] = (
-            events[i + 1].with_attrs(transposed="true"),
-            events[i].with_attrs(transposed="true"),
-        )
-    return tuple(events)
+def _reorder(source: tuple[str, ...], target: tuple[str, ...]) -> tuple[tuple[int, bool], ...]:
+    """For each position of ``target``, the source position of its event and
+    whether the event is in an inverted pair of the slot permutation, that
+    is, whether a shortest sequence of adjacent transpositions moves it."""
+    perm = _slot_permutation(source, target)
+    earlier_max = [-1, *accumulate(perm, max)]
+    later_min = [*accumulate(reversed(perm), min)][::-1] + [len(perm)]
+    order = [(0, False)] * len(perm)
+    for i, slot in enumerate(perm):
+        order[slot] = (i, earlier_max[i] > slot or slot > later_min[i + 1])
+    return tuple(order)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import operator
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -245,7 +245,7 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
     event_key = operator.itemgetter(ai, *(j for _, j in named))
     ids: dict[object, int] = {}  # event key -> its Event's index in events
     events: list[Event] = []
-    cases: dict[str, list] = {}
+    cases: dict[str, list] = defaultdict(list)
     for row in reader:
         if len(row) < len(header):
             if not row:
@@ -254,12 +254,13 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
             if missing:
                 raise ValueError(f"CSV line {reader.line_num}: row has no '{missing[0]}' field")
             row += [""] * (len(header) - len(row))
-        eid = ids.setdefault(event_key(row), len(events))
-        if eid == len(events):
+        eid = ids.get(key := event_key(row))
+        if eid is None:
+            eid = ids[key] = len(events)
             events.append(Event(row[ai], tuple(sorted((k, row[j]) for k, j in named if row[j]))))
         if ti is not None:
             eid = (_timestamp_key(row[ti]), reader.line_num, eid)
-        cases.setdefault(row[ci], []).append(eid)
+        cases[row[ci]].append(eid)
     variants = Counter(
         tuple(rows) if ti is None else tuple(eid for *_, eid in sorted(rows))
         for rows in cases.values()

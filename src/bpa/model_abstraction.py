@@ -8,8 +8,8 @@ abstract names to sets of concrete activities, and a rational threshold
 2. derive an abstract profile over the aggregated alphabet: for each pair
    of abstract activities the four relation weights are computed from the
    fractions of concrete pairs in each relation and the strongest relation
-   above ``w_t`` is selected (choice first, then strict order — flipped
-   when the inverse weight dominates — then inverse, then parallel);
+   above ``w_t`` is selected (choice first, then strict order, then
+   inverse, then parallel);
 3. build the order-relations graph of the abstract profile, compute its
    modular decomposition tree, and synthesize one tree node per module
    (linear -> ``seq``, XOR-complete -> ``xor``, AND-complete -> ``and``,
@@ -243,9 +243,9 @@ def relation_weights(
 
 def derive_ordering_relation(x: str, y: str, profile: BehavioralProfile, spec: AggSpec) -> str:
     """Select the relation of an abstract pair by the priority cascade:
-    choice, strict order (flipped if the inverse weight dominates),
-    inverse, parallel; below-threshold pairs default to parallel with a
-    diagnostic (unreachable for thresholds within the applicable range)."""
+    choice, strict order, inverse, parallel; below-threshold pairs default
+    to parallel with a diagnostic (unreachable for thresholds within the
+    applicable range)."""
     w = relation_weights(x, y, profile, spec)
     return _select(x, y, w.total, _counts(*w), spec.w_t)
 
@@ -259,7 +259,8 @@ def _select(x: str, y: str, total: int, counts: tuple[int, int, int, int], w_t: 
     if choice * q >= bar:
         return CHOICE
     if strict * q >= bar:
-        return INVERSE if inverse > strict else STRICT
+        # inverse <= (pairs not x-before-y) = choice < strict: no flip to inverse
+        return STRICT
     if inverse * q >= bar:
         return INVERSE
     if parallel * q >= bar:
@@ -475,13 +476,10 @@ def _primitive_children(
 # Synthesis
 # ---------------------------------------------------------------------------
 
-def synthesize(profile: BehavioralProfile) -> ProcessTree | None:
-    """Tree whose behavioral profile equals the given one, or None when a
-    primitive module makes the profile unrealizable."""
-    return _synthesize(profile, modular_decomposition(order_relations_graph(profile)))
-
-
 def _synthesize(profile: BehavioralProfile, mdt: MDTNode) -> ProcessTree | None:
+    """Tree whose behavioral profile equals the given one, built on the
+    modular decomposition ``mdt`` of its order-relations graph, or None when
+    a primitive module makes the profile unrealizable."""
     def build(m: MDTNode) -> ProcessTree | None:
         if m.kind == "leaf":
             (x,) = m.members

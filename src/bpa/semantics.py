@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Iterator
 
 from .logs import Event, EventLog, Trace
 from .trees import ProcessTree, require_class
@@ -140,20 +139,24 @@ def _min_traces(t: ProcessTree) -> list[Trace]:
     return [trace for pick in product(*subs) for trace in _interleavings(pick)]
 
 
-def _interleavings(seqs: tuple[Trace, ...]) -> Iterator[Trace]:
+def _interleavings(seqs: tuple[Trace, ...]) -> list[Trace]:
     """Order-preserving shuffles, in lexicographic child-pick order."""
-    n = len(seqs)
-    total = sum(len(s) for s in seqs)
+    total = sum(map(len, seqs))
+    positions = [0] * len(seqs)
+    acc: list[Event] = []
+    out: list[Trace] = []
 
-    def rec(positions: tuple[int, ...], acc: list[Event]) -> Iterator[Trace]:
+    def rec() -> None:
         if len(acc) == total:
-            yield tuple(acc)
-            return
-        for i in range(n):
-            if positions[i] < len(seqs[i]):
-                acc.append(seqs[i][positions[i]])
-                bumped = positions[:i] + (positions[i] + 1,) + positions[i + 1:]
-                yield from rec(bumped, acc)
+            out.append(tuple(acc))  # every sequence is used up
+        for i, seq in enumerate(seqs):
+            p = positions[i]
+            if p < len(seq):
+                acc.append(seq[p])
+                positions[i] = p + 1
+                rec()
+                positions[i] = p
                 acc.pop()
 
-    return rec((0,) * n, [])
+    rec()
+    return out

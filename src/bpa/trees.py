@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 OPERATORS = ("seq", "xor", "and", "loop")
 TAU = "tau"
@@ -82,7 +82,7 @@ class ProcessTree:
 
     @property
     def is_activity(self) -> bool:
-        return not self.is_operator and not self.is_tau
+        return self.label not in KEYWORDS
 
     @property
     def is_self_loop(self) -> bool:
@@ -202,12 +202,9 @@ def size(tree: ProcessTree) -> int:
 
 def activities(tree: ProcessTree) -> set[str]:
     """All non-tau leaf labels."""
-    if tree.is_activity:
-        return {tree.label}
-    out: set[str] = set()
-    for c in tree.children:
-        out |= activities(c)
-    return out
+    if not tree.children:
+        return set() if tree.label == TAU else {tree.label}
+    return set().union(*map(activities, tree.children))
 
 
 def walk(tree: ProcessTree, path: str = "") -> Iterator[tuple[str, ProcessTree]]:
@@ -215,11 +212,6 @@ def walk(tree: ProcessTree, path: str = "") -> Iterator[tuple[str, ProcessTree]]
     yield path, tree
     for i, c in enumerate(tree.children):
         yield from walk(c, f"{path}.{i}".lstrip("."))
-
-
-def activity_leaves(tree: ProcessTree) -> list[tuple[str, str]]:
-    """``(path, activity)`` for every activity leaf, in document order."""
-    return [(p, t.label) for p, t in walk(tree) if t.is_activity]
 
 
 def _partition(items: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[frozenset[str]]:
@@ -251,16 +243,17 @@ def check_class(tree: ProcessTree, which: str = "C_c") -> ClassReport:
     """
     if which not in ("C_c", "C_a"):
         raise ValueError(f"unknown tree class: {which!r}")
+    if _in_class(tree, which == "C_a"):
+        return ClassReport(in_class=True)
     violations: list[tuple[str, str, str]] = []
 
     seen: dict[str, str] = {}
-    for path, name in activity_leaves(tree):
-        if name in seen:
-            violations.append(
-                ("duplicate-activity", path, f"activity '{name}' already used at '{seen[name]}'")
-            )
-        else:
-            seen[name] = path
+    for path, t in walk(tree):
+        if t.label in seen:
+            message = f"activity '{t.label}' already used at '{seen[t.label]}'"
+            violations.append(("duplicate-activity", path, message))
+        elif t.is_activity:
+            seen[t.label] = path
 
     for path, t in walk(tree):
         if t.label == "loop" and not t.is_self_loop:
@@ -279,6 +272,29 @@ def check_class(tree: ProcessTree, which: str = "C_c") -> ClassReport:
         scan(tree, "")
 
     return ClassReport.from_violations(violations)
+
+
+def _in_class(tree: ProcessTree, tau_only_in_self_loops: bool) -> bool:
+    """Whether :func:`check_class` finds no violation, in one pass that
+    builds no paths."""
+    seen: set[str] = set()
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if t.label == "loop":
+            if not t.is_self_loop:
+                return False
+            t = t.children[0]  # its tau is the sanctioned one
+        elif t.children:
+            stack.extend(t.children)
+            continue
+        if t.label == TAU:
+            if tau_only_in_self_loops:
+                return False
+        elif t.label in seen:
+            return False
+        seen.add(t.label)
+    return True
 
 
 class ClassViolationError(ValueError):
@@ -318,7 +334,8 @@ def normal_form(tree: ProcessTree) -> ProcessTree:
             flat.extend(c.children)
         else:
             flat.append(c)
-    if tree.label == "xor":
+    if tree.label == "xor" and len({frozenset(activities(c)) for c in flat}) < len(flat):
+        # isomorphic branches share their activities; only then are keys needed
         seen: set[str] = set()
         unique = []
         for c in flat:
@@ -382,12 +399,3 @@ def tree_to_dot(tree: ProcessTree, name: str = "process_tree") -> str:
     emit(tree)
     lines.append("}")
     return "\n".join(lines)
-
-
-def map_activities(tree: ProcessTree, fn: Callable[[str], str]) -> ProcessTree:
-    """Rename activity leaves through ``fn`` (structure unchanged)."""
-    if tree.is_activity:
-        return ProcessTree(fn(tree.label))
-    if not tree.is_operator:
-        return tree
-    return ProcessTree(tree.label, tuple(map_activities(c, fn) for c in tree.children))

@@ -26,8 +26,23 @@ equal theirs, variant order, attributes and CSV bytes included.  Stage two
 ranks candidates by bitmasks of ordered label pairs; the oracle counts the
 inversions of the slot permutation pair by pair.
 
+Stage one: ``bpa`` works out once per activity set what becomes of each
+abstract activity; the oracle works it out again for every trace
+(``_abstract_trace``).  Stage two: ``bpa`` puts a trace into its
+reference's order straight from the slot permutation and marks the events
+in an inverted pair; the oracle replays the bubble-sort witness of
+``kendall_distance`` swap by swap (``_transpose_to``).
+
+The trees: ``bpa`` checks a class in one pass without paths and renders
+canonical keys of ``xor`` branches only when two branches share their
+activities; the versions here build the path-annotated report every time
+and key every branch (``check_class``, ``normal_form``).  ``bpa`` appends
+the interleavings of a minimal log to one list; the generator here yields
+them up a chain as deep as the trace (``interleavings``).
+
 Also here: small helpers that only the tests use (log metrics, replaying
-a transposition witness, df-completeness).
+a transposition witness, df-completeness, renaming activities, synthesis
+from a profile alone).
 """
 from __future__ import annotations
 
@@ -37,23 +52,21 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import networkx as nx
 
 from bpa.event_abstraction import (
     MatchingError,
     KendallResult,
-    _abstract_trace,
     _slot_permutation,
-    _transpose_to,
     choice_sets,
     even_split_sizes,
     kendall_distance,
 )
 from bpa.logs import DFG, Event, EventLog, Trace, dfg_of_log
 from bpa.miner import DiscoveryAudit
-from bpa.model_abstraction import Abstraction, AggSpec, expand_spec
+from bpa.model_abstraction import Abstraction, AggSpec, _synthesize, expand_spec, modular_decomposition
 from bpa.profiles import (
     CHOICE,
     INVERSE,
@@ -61,10 +74,119 @@ from bpa.profiles import (
     STRICT,
     BehavioralProfile,
     behavioral_profile,
+    order_relations_graph,
     profile_from_function,
 )
-from bpa.semantics import DEFAULT_TRACE_CAP, _interleavings, minimal_log, ntl
-from bpa.trees import ProcessTree, activities, require_class
+from bpa.semantics import DEFAULT_TRACE_CAP, minimal_log, ntl
+from bpa.trees import (
+    ClassReport,
+    ProcessTree,
+    activities,
+    canonical,
+    render_tree,
+    require_class,
+    walk,
+)
+
+
+# ---------------------------------------------------------------------------
+# Trees
+# ---------------------------------------------------------------------------
+
+def check_class(tree: ProcessTree, which: str = "C_c") -> ClassReport:
+    """The path-annotated class check, run in full on every tree."""
+    if which not in ("C_c", "C_a"):
+        raise ValueError(f"unknown tree class: {which!r}")
+    violations: list[tuple[str, str, str]] = []
+
+    seen: dict[str, str] = {}
+    for path, name in [(p, t.label) for p, t in walk(tree) if t.is_activity]:
+        if name in seen:
+            violations.append(
+                ("duplicate-activity", path, f"activity '{name}' already used at '{seen[name]}'")
+            )
+        else:
+            seen[name] = path
+
+    for path, t in walk(tree):
+        if t.label == "loop" and not t.is_self_loop:
+            violations.append(("loop-shape", path, "loop node is not of the form loop(v,tau)"))
+
+    if which == "C_a":
+        def scan(t: ProcessTree, path: str) -> None:
+            if t.is_self_loop:
+                return  # the only sanctioned tau
+            if t.is_tau:
+                violations.append(("tau-outside-self-loop", path, "tau leaf outside a self-loop"))
+                return
+            for i, c in enumerate(t.children):
+                scan(c, f"{path}.{i}".lstrip("."))
+
+        scan(tree, "")
+
+    return ClassReport.from_violations(violations)
+
+
+def normal_form(tree: ProcessTree) -> ProcessTree:
+    """The normal form, keying every ``xor`` branch by its canonical
+    rendering."""
+    if not tree.is_operator:
+        return tree
+    kids = [normal_form(c) for c in tree.children]
+    if tree.label == "loop":
+        return ProcessTree("loop", tuple(kids))
+    flat: list[ProcessTree] = []
+    for c in kids:
+        if c.label == tree.label:
+            flat.extend(c.children)
+        else:
+            flat.append(c)
+    if tree.label == "xor":
+        seen: set[str] = set()
+        unique = []
+        for c in flat:
+            key = render_tree(canonical(c))
+            if key not in seen:
+                seen.add(key)
+                unique.append(c)
+        flat = unique
+    if len(flat) == 1:
+        return flat[0]
+    return ProcessTree(tree.label, tuple(flat))
+
+
+def map_activities(tree: ProcessTree, fn: Callable[[str], str]) -> ProcessTree:
+    """Rename activity leaves through ``fn`` (structure unchanged)."""
+    if tree.is_activity:
+        return ProcessTree(fn(tree.label))
+    if not tree.is_operator:
+        return tree
+    return ProcessTree(tree.label, tuple(map_activities(c, fn) for c in tree.children))
+
+
+def synthesize(profile: BehavioralProfile) -> ProcessTree | None:
+    """Tree whose behavioral profile equals the given one, or None when a
+    primitive module makes the profile unrealizable."""
+    return _synthesize(profile, modular_decomposition(order_relations_graph(profile)))
+
+
+def interleavings(seqs: tuple[Sequence, ...]) -> Iterator[tuple]:
+    """Order-preserving shuffles, in lexicographic child-pick order."""
+    n = len(seqs)
+    total = sum(len(s) for s in seqs)
+
+    def rec(positions: tuple[int, ...], acc: list) -> Iterator[tuple]:
+        if len(acc) == total:
+            yield tuple(acc)
+            return
+        for i in range(n):
+            if positions[i] < len(seqs[i]):
+                acc.append(seqs[i][positions[i]])
+                bumped = positions[:i] + (positions[i] + 1,) + positions[i + 1:]
+                yield from rec(bumped, acc)
+                acc.pop()
+
+    return rec((0,) * n, [])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +300,7 @@ def enumerate_language(tree: ProcessTree, loop_bound: int = 1) -> set[tuple[str,
     if tree.label == "and":
         out = {()}
         for sub in subs:
-            out = {m for a in out for b in sub for m in _interleavings((a, b))}
+            out = {m for a in out for b in sub for m in interleavings((a, b))}
         return out
     # loop(body, redo_1..redo_k): body (redo body)^0..loop_bound
     body, redos = subs[0], set().union(*subs[1:])
@@ -391,6 +513,33 @@ def ea1(log: EventLog, abstraction: Abstraction) -> EventLog:
     return result
 
 
+def _abstract_trace(trace: Trace, abstraction: Abstraction, cover) -> Trace:
+    profile = abstraction.profile
+    trace_acts = {e.activity for e in trace}
+    kept_here = sorted(
+        a for a in trace_acts if a not in cover and a in profile.activities
+    )
+    handled: set[str] = set()
+    out: list[Event] = []
+    for event in trace:
+        groups = cover.get(event.activity)
+        if not groups:
+            out.append(event)
+            continue
+        for x in groups:
+            if x in handled:
+                continue
+            handled.add(x)
+            if any(profile.relation(v, x) == CHOICE for v in kept_here):
+                continue  # a kept activity excludes x; drop it for good
+            concrete = ";".join(sorted(abstraction.spec.agg[x] & trace_acts))
+            abstract_event = Event(x, attrs=(("concrete", concrete),))
+            out.append(abstract_event)
+            if profile.relation(x, x) == PARALLEL:
+                out.append(abstract_event)
+    return tuple(out)
+
+
 def delete_choice_activities(traces: list[Trace], abstraction: Abstraction) -> list[Trace]:
     out = [list(t) for t in traces]
     for members in choice_sets(abstraction):
@@ -420,6 +569,16 @@ def inversions(source: Sequence[str], target: Sequence[str]) -> int:
     witness: the inversion count of their slot permutation."""
     perm = _slot_permutation(source, target)
     return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+
+
+def _transpose_to(trace: Trace, witness: KendallResult) -> Trace:
+    events = list(trace)
+    for i in witness.transpositions:
+        events[i], events[i + 1] = (
+            events[i + 1].with_attrs(transposed="true"),
+            events[i].with_attrs(transposed="true"),
+        )
+    return tuple(events)
 
 
 @dataclass

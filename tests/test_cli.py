@@ -329,8 +329,23 @@ POSITIONALS = {
 def test_subcommands_refuse_flags_they_do_not_read(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, *POSITIONALS[command], flag, *FLAG_VALUES[flag]])
-    assert exc.value.code == 2  # argparse's usage error
+    assert exc.value.code == 1  # a usage error; 2 is the gate's code
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["abstract-log", "log.txt"], ["discover"], []])
+def test_missing_positionals_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "the following arguments are required" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "usage: bpa verify" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS_READ))

@@ -12,6 +12,7 @@ from bpa import make_spec
 from bpa.event_abstraction import (
     MatchingError,
     _order_mask,
+    _reorder,
     choice_sets,
     delete_choice_activities,
     ea1,
@@ -31,7 +32,7 @@ from conftest import (
     ORDERS_TRACES,
     build_claims_log,
 )
-from oracles import apply_transpositions, inversions, quotient
+from oracles import _transpose_to, apply_transpositions, inversions, quotient
 
 
 def acts(trace) -> tuple[str, ...]:
@@ -129,6 +130,16 @@ def test_order_masks_rank_by_the_kendall_distance(source, rng):
     assert rank == inversions(source, target) == kendall_distance(source, target).distance
     # the mask of a sequence does not depend on what it is compared with
     assert _order_mask(source) == _order_mask(list(source))
+
+
+@given(doubled | repeating, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_reorder_matches_the_bubble_sort_witness(source, rng):
+    target = tuple(rng.sample(source, len(source)))
+    trace = tuple(Event(a, (("at", str(i)),)) for i, a in enumerate(source))
+    replayed = _transpose_to(trace, kendall_distance(source, target))
+    expected = [(int(e.get("at")), e.get("transposed") == "true") for e in replayed]
+    assert list(_reorder(source, target)) == expected
 
 
 def test_order_mask_sets_one_bit_per_inverted_label_pair():
@@ -389,12 +400,13 @@ def test_stages_work_once_per_variant(monkeypatch):
 
         monkeypatch.setattr(ea, name, wrapper)
 
-    counted("_abstract_trace")
-    counted("kendall_distance")
+    counted("_outcomes")
+    counted("_reorder")
     abstraction = plan(parse_tree(CLAIMS_MODEL), make_spec(CLAIMS_GROUPS, Fraction(1, 2)))
     stage_one = ea1(log, abstraction)
-    assert calls["_abstract_trace"] == len(log.variants()) == 29
+    activity_sets = {frozenset(acts(trace)) for trace, _ in log.variants()}
+    assert calls["_outcomes"] == len(activity_sets) < len(log.variants()) == 29
     out = ea2(stage_one, abstraction.tree)
     assert out.num_traces == 46_000
     references = minimal_log(abstraction.tree).num_traces
-    assert 0 < calls["kendall_distance"] <= len(stage_one.variants()) * references
+    assert 0 < calls["_reorder"] <= len(stage_one.variants()) * references

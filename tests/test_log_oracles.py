@@ -17,8 +17,8 @@ from bpa.event_abstraction import MatchingError, choice_sets, ea1, ea2
 from bpa.logs import Event, EventLog, read_csv_log, write_csv_log
 from bpa.miner import discover
 from bpa.model_abstraction import plan
-from bpa.trees import parse_tree
-from conftest import CLAIMS_GROUPS, ORDERS_GROUPS, ORDERS_TRACES, build_claims_log
+from bpa.trees import activities, parse_tree
+from conftest import CLAIMS_GROUPS, ORDERS_GROUPS, ORDERS_TRACES, build_claims_log, random_tree
 
 FIXTURES = {
     "claims": (build_claims_log, make_spec(CLAIMS_GROUPS, Fraction(1, 2))),
@@ -154,6 +154,25 @@ def test_random_runs_match_the_oracle(disjoint, overlap, variants, counts):
     for acts, n in zip(variants, counts):
         renamed.add([named[a] for a in acts], n)
     assert_same_log(ea1(renamed, overlap), oracles.ea1(renamed, overlap))
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from([(1, 3), (1, 4), (2, 2), (2, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_stage_one_matches_the_per_trace_oracle_on_random_specs(rng, shape):
+    # variants that share an activity set differ in order or attributes;
+    # stage one works out each set once, the oracle every trace
+    tree = random_tree(rng)
+    alphabet = sorted(activities(tree))
+    log = EventLog(attrs_identity=True)
+    for _ in range(rng.randint(1, 20)):
+        acts = rng.sample(alphabet, rng.randint(1, len(alphabet)))
+        for _ in range(rng.randint(1, 3)):
+            rng.shuffle(acts)
+            log.add([Event(a, (("k", str(rng.randint(0, 1))),)) for a in acts], rng.randint(1, 3))
+    spec = oracles.random_spec(tree, log, rng, *shape, unrestricted=True)
+    abstraction = plan(tree, spec)
+    assert abstraction.profile is not None
+    assert_same_log(ea1(log, abstraction), oracles.ea1(log, abstraction))
 
 
 pools = st.lists(

@@ -30,7 +30,6 @@ from bpa.model_abstraction import (
     plan,
     relation_codes,
     relation_weights,
-    synthesize,
     w_minmax,
 )
 from bpa.profiles import (
@@ -522,13 +521,13 @@ def test_mdt_children_partition_their_parent(rng):
 # ---------------------------------------------------------------------------
 
 def test_synthesize_builds_self_loops_for_parallel_self_pairs():
-    tree = synthesize(behavioral_profile(parse_tree("loop(a,tau)")))
+    tree = oracles.synthesize(behavioral_profile(parse_tree("loop(a,tau)")))
     assert render_tree(tree) == "loop(a,tau)"
 
 
 def test_synthesize_returns_none_on_primitive_profiles():
     profile = plan(parse_tree(N_MODEL), make_spec(N_GROUPS, Fraction(1, 2))).profile
-    assert synthesize(profile) is None
+    assert oracles.synthesize(profile) is None
 
 
 @given(trees)
@@ -536,7 +535,7 @@ def test_synthesize_returns_none_on_primitive_profiles():
 def test_synthesis_inverts_the_profile(tree):
     from bpa.trees import normal_form
 
-    rebuilt = synthesize(behavioral_profile(tree))
+    rebuilt = oracles.synthesize(behavioral_profile(tree))
     assert rebuilt is not None
     assert isomorphic(rebuilt, normal_form(tree))
 
@@ -611,7 +610,7 @@ def assert_plan_matches_the_oracle(model, spec):
     derived = oracle_profile(behavioral_profile(model), full, spec.w_t)
     assert abstraction.report.in_class
     assert abstraction.profile == derived
-    assert abstraction.tree == synthesize(derived)
+    assert abstraction.tree == oracles.synthesize(derived)
 
 
 @pytest.mark.parametrize(

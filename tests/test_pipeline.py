@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import bpa.pipeline as pipeline
 from bpa import make_spec
-from bpa.event_abstraction import kendall_distance
+from bpa.event_abstraction import _reorder
 from bpa.logs import log_from_sequences
 from bpa.miner import check_restricted, discover
 from bpa.model_abstraction import (
@@ -272,7 +272,7 @@ def test_verify_small_corpus_is_clean():
 
 
 def test_verify_does_the_model_side_once_per_instance(monkeypatch):
-    steps = (check_restricted, plan, discover, derive_profile, w_minmax, kendall_distance)
+    steps = (check_restricted, plan, discover, derive_profile, w_minmax, _reorder)
     calls = {fn.__name__: record_calls(monkeypatch, fn) for fn in steps}
     marks = []  # per instance: call counts before and after its generation
 
@@ -298,8 +298,8 @@ def test_verify_does_the_model_side_once_per_instance(monkeypatch):
         assert (inside["plan"], after["plan"]) == (1, 0)
         assert (inside["discover"], after["discover"]) == (1, 1)  # the rediscovery
         assert after["derive_profile"] == after["w_minmax"] == 0
-        ranked = calls["kendall_distance"][generated["kendall_distance"]:end["kendall_distance"]]
-        assert ranked and max(Counter(ranked).values()) == 1
+        reordered = calls["_reorder"][generated["_reorder"]:end["_reorder"]]
+        assert reordered and max(Counter(reordered).values()) == 1
 
 
 def test_negative_control_fails_at_the_gate():

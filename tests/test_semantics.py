@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from bpa.semantics import (
     DEFAULT_TRACE_CAP,
     LogSizeError,
+    _interleavings,
     minimal_log,
     ntl,
 )
 from bpa.logs import EventLog, dfg_of_log
 from bpa.trees import parse_tree
 from conftest import CLAIMS_ABSTRACT, CLAIMS_REFERENCE, random_tree
-from oracles import df_complete, enumerate_language
+from oracles import df_complete, enumerate_language, interleavings
 
 def _fits(tree) -> bool:
     try:
@@ -123,6 +124,13 @@ def test_minimal_log_self_loop_repeats_exactly_twice():
 def test_minimal_log_interleavings_are_distinct():
     log = minimal_log(parse_tree("and(a,a2)"))
     assert log.as_multiset() == {("a", "a2"): 1, ("a2", "a"): 1}
+
+
+@given(st.lists(st.lists(st.integers(0, 9), max_size=3).map(tuple), min_size=1, max_size=3))
+@settings(deadline=None)
+def test_interleavings_match_the_generator_oracle(seqs):
+    seqs = tuple(seqs)
+    assert _interleavings(seqs) == list(interleavings(seqs))
 
 
 def test_minimal_log_respects_cap():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from bpa.profiles import behavioral_profile
 from bpa.semantics import minimal_log, ntl
+import oracles
 from bpa.trees import (
     MAX_TREE_DEPTH,
+    OPERATORS,
     ClassViolationError,
     ProcessTree,
     TreeSyntaxError,
@@ -18,7 +20,6 @@ from bpa.trees import (
     check_class,
     isomorphic,
     leaf,
-    map_activities,
     node,
     normal_form,
     parse_tree,
@@ -32,6 +33,20 @@ from bpa.trees import (
 from conftest import CLAIMS_MODEL, ORDERS_DESIGNED, random_tree
 
 trees = st.builds(random_tree, st.randoms(use_true_random=False))
+
+#: trees outside both classes: duplicate activities, loops that are not
+#: self-loops, stray taus, and xor nodes over isomorphic branches
+unrestricted = st.recursive(
+    st.sampled_from(["a", "b", "c", "tau"]).map(ProcessTree)
+    | st.sampled_from("abc").map(lambda a: node("loop", leaf(a), tau())),
+    lambda kids: st.builds(
+        lambda op, cs: ProcessTree(op, tuple(cs)),
+        st.sampled_from(OPERATORS),
+        st.lists(kids, min_size=2, max_size=3),
+    )
+    | st.builds(lambda t: node("xor", t, canonical(t)), kids),
+    max_leaves=12,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +164,7 @@ def test_walk_paths_are_child_indices():
 
 def test_map_activities_renames_leaves_only():
     tree = parse_tree("seq(a,loop(b,tau))")
-    mapped = map_activities(tree, str.upper)
+    mapped = oracles.map_activities(tree, str.upper)
     assert render_tree(mapped) == "seq(A,loop(B,tau))"
 
 
@@ -176,6 +191,19 @@ def test_normal_form_dedupes_up_to_isomorphism():
     # the two xor branches differ only in and-child order
     tree = parse_tree("xor(and(a,b),and(b,a))")
     assert render_tree(normal_form(tree)) == "and(a,b)"
+
+
+@given(unrestricted | trees)
+def test_activities_are_the_labels_of_non_tau_leaves(tree):
+    leaves = [t for _, t in walk(tree) if not t.children]
+    assert activities(tree) == {t.label for t in leaves if t.label != "tau"}
+    assert [t.is_activity for t in leaves] == [t.label != "tau" for t in leaves]
+
+
+@given(unrestricted | trees)
+@settings(max_examples=200)
+def test_normal_form_matches_the_keying_oracle(tree):
+    assert normal_form(tree) == oracles.normal_form(tree)
 
 
 @given(trees)
@@ -254,6 +282,13 @@ def test_tau_outside_self_loop_only_violates_stricter_class():
 def test_unknown_class_name_rejected():
     with pytest.raises(ValueError, match="unknown tree class"):
         check_class(leaf("a"), "C_z")
+
+
+@given(unrestricted | trees)
+@settings(max_examples=200)
+def test_class_checks_match_the_path_annotated_oracle(tree):
+    for which in ("C_c", "C_a"):
+        assert check_class(tree, which) == oracles.check_class(tree, which)
 
 
 def test_require_class_raises_with_report():
