@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import operator
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -228,43 +228,68 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
     Required columns ``case`` and ``activity``; optional ``timestamp``
     (sorting key within a case, stable w.r.t. file order); every column
     named ``attr:NAME`` becomes an event attribute ``NAME``.  A row too
-    short for its case, activity or timestamp is a ``ValueError``.
+    short for its case, activity or timestamp, or a field the ``csv``
+    module refuses, is a ``ValueError`` naming the line where the row ends.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
             return read_csv_log(fh, attrs_identity)
     reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None or "case" not in header or "activity" not in header:
-        raise ValueError("CSV log needs 'case' and 'activity' columns")
-    col = {name: i for i, name in enumerate(header)}
-    ci, ai, ti = col["case"], col["activity"], col.get("timestamp")
-    required = sorted((col[c], c) for c in ("case", "activity", "timestamp") if c in col)
-    named = [(c[5:], col[c]) for c in header if c.startswith("attr:")]
-    named += [(c, col[c]) for c in ("concrete", "transposed") if c in col]
-    event_key = operator.itemgetter(ai, *(j for _, j in named))
-    ids: dict[object, int] = {}  # event key -> its Event's index in events
-    events: list[Event] = []
-    cases: dict[str, list] = defaultdict(list)
-    for row in reader:
-        if len(row) < len(header):
-            if not row:
-                continue
-            missing = [c for i, c in required if i >= len(row)]
-            if missing:
-                raise ValueError(f"CSV line {reader.line_num}: row has no '{missing[0]}' field")
-            row += [""] * (len(header) - len(row))
-        eid = ids.get(key := event_key(row))
-        if eid is None:
-            eid = ids[key] = len(events)
-            events.append(Event(row[ai], tuple(sorted((k, row[j]) for k, j in named if row[j]))))
-        if ti is not None:
-            eid = (_timestamp_key(row[ti]), reader.line_num, eid)
-        cases[row[ci]].append(eid)
-    variants = Counter(
-        tuple(rows) if ti is None else tuple(eid for *_, eid in sorted(rows))
-        for rows in cases.values()
-    )
+    try:
+        header = next(reader, None)
+        if header is None or "case" not in header or "activity" not in header:
+            raise ValueError("CSV log needs 'case' and 'activity' columns")
+        width = len(header)
+        col = {name: i for i, name in enumerate(header)}
+        ci, ai, ti = col["case"], col["activity"], col.get("timestamp")
+        required = sorted((col[c], c) for c in ("case", "activity", "timestamp") if c in col)
+        named = [(c[5:], col[c]) for c in header if c.startswith("attr:")]
+        named += [(c, col[c]) for c in ("concrete", "transposed") if c in col]
+        event_key = operator.itemgetter(ai, *(j for _, j in named))
+        ids: dict[object, int] = {}  # event key -> its Event's index in events
+        events: list[Event] = []
+        # case -> its event ids, or (timestamp key, id) pairs, in file order.
+        # A case read in one stretch of rows becomes a tuple shared through
+        # ``distinct`` with every case of the same ids; a case that comes
+        # back after another case started is copied to a list once and
+        # grows in place from then on, so switching cases stays O(1).
+        cases: dict[str, tuple | list] = {}
+        distinct: dict[tuple, tuple] = {}
+        case, run, fresh = None, [], False
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                missing = [c for i, c in required if i >= len(row)]
+                if missing:
+                    raise ValueError(f"CSV line {reader.line_num}: row has no '{missing[0]}' field")
+                row += [""] * (width - len(row))
+            eid = ids.get(key := event_key(row))
+            if eid is None:
+                eid = ids[key] = len(events)
+                events.append(Event(row[ai], tuple(sorted((k, row[j]) for k, j in named if row[j]))))
+            if ti is not None:
+                eid = (_timestamp_key(row[ti]), eid)
+            if row[ci] != case:
+                if fresh:
+                    cases[case] = distinct.setdefault(seq := tuple(run), seq)
+                case = row[ci]
+                run = cases.get(case)
+                fresh = run is None
+                if fresh:
+                    run = cases[case] = []
+                elif type(run) is tuple:
+                    run = cases[case] = list(run)
+            run.append(eid)
+    except csv.Error as exc:
+        raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
+    if ti is None:
+        variants = Counter(map(tuple, cases.values()))
+    else:
+        first = operator.itemgetter(0)  # a stable sort keeps ties in file order
+        variants = Counter(
+            tuple(eid for _, eid in sorted(rows, key=first)) for rows in cases.values()
+        )
     log = EventLog(attrs_identity=attrs_identity)
     for seq, count in variants.items():
         log.add(tuple(events[i] for i in seq), count)

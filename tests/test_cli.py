@@ -215,6 +215,15 @@ def test_csv_row_without_timestamp_is_an_error(tmp_path, capsys):
     assert "error: CSV line 3: row has no 'timestamp' field" in capsys.readouterr().err
 
 
+def test_csv_field_over_the_csv_limit_is_an_error(tmp_path, capsys):
+    path = tmp_path / "log.csv"
+    path.write_text("case,activity\nc1," + "a" * 140_000 + "\n")
+    assert main(["discover", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: CSV line 2: field larger than field limit")
+    assert "Traceback" not in out.err + out.out
+
+
 def test_long_tree_literals_are_parsed(capsys):
     literal = f"seq({','.join(f'a{i}' for i in range(80))})"
     assert len(literal) > 300  # longer than a file name may be

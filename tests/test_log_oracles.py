@@ -5,6 +5,8 @@ import csv
 import io
 import random
 import re
+import timeit
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -220,6 +222,9 @@ CRAFTED_CSVS = [
     # abstraction columns, quoting, and a timestamp after them
     'case,activity,concrete,transposed,timestamp\n'
     'c1,X,"p;q",true,3\nc2,Y,,,1\nc1,Y,,,1\nc2,X,"p;q",true,3\nc3,"a,b",,,0\n',
+    # c2 comes back after c3 started, and its first stretch is c1's and
+    # c4's whole sequence; c3 has a quoted newline
+    'case,activity\nc1,a\nc1,b\nc2,a\nc2,b\nc3,"x\ny"\nc2,c\nc3,a\nc4,a\nc4,b\n',
 ]
 
 
@@ -264,3 +269,40 @@ def test_writer_numbers_cases_across_empty_traces():
     log.add([], 3)
     log.add([Event("b", (("transposed", "true"),)), Event("a")], 2)
     assert as_csv(log) == as_csv(log, oracles.write_csv_log)
+
+
+def alternating_csv(events: int) -> tuple[str, str]:
+    """Two cases of ``events`` rows each: rows alternating between the
+    cases, and the same rows grouped by case."""
+    rows = [(f"c{i % 2}", f"a{i % 7}") for i in range(2 * events)]
+    grouped = sorted(rows, key=lambda r: r[0])  # stable: file order per case
+    return tuple("case,activity\n" + "".join(f"{c},{a}\n" for c, a in t) for t in (rows, grouped))
+
+
+def test_alternating_cases_read_in_linear_time():
+    # each case switch is O(1): a reader that rebuilt a case's sequence on
+    # every switch was 400 times slower here than on the grouped rows
+    alternating, grouped = alternating_csv(20_000)
+    got = read_csv_log(io.StringIO(alternating))
+    assert_same_log(got, oracles.read_csv_log(io.StringIO(alternating)))
+    assert got.num_events == 40_000
+
+    def seconds(text: str) -> float:
+        return min(timeit.repeat(lambda: read_csv_log(io.StringIO(text)), number=1, repeat=3))
+
+    assert seconds(alternating) < 20 * seconds(grouped)
+
+
+def test_csv_reader_memory_per_case():
+    # one shared tuple per distinct sequence: the peak is the case index
+    # (id and slot per case); a list per case took 263 B per case here
+    log = scaled(build_claims_log(), 200)
+    source = io.StringIO(shuffled_csv(log, seed=200))
+    tracemalloc.start()
+    try:
+        got = read_csv_log(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.num_traces == log.num_traces == 9_200
+    assert peak / got.num_traces < 150

@@ -218,6 +218,18 @@ def test_csv_reader_names_the_line_of_a_short_row(text, missing):
         read_csv_log(io.StringIO(text))
 
 
+def test_csv_reader_names_the_line_where_a_short_row_ends():
+    # a quoted newline makes the first row two lines long
+    with pytest.raises(ValueError, match="CSV line 4: row has no 'activity' field"):
+        read_csv_log(io.StringIO('case,activity\nc1,"a\nb"\nc1\n'))
+
+
+def test_csv_reader_turns_an_oversized_field_into_a_value_error():
+    text = "case,activity\nc1,a\nc1," + "a" * 140_000 + "\n"
+    with pytest.raises(ValueError, match=r"CSV line 3: field larger than field limit \(131072\)"):
+        read_csv_log(io.StringIO(text))
+
+
 def test_csv_reader_orders_by_timestamp_then_file_order():
     text = (
         "case,activity,timestamp\n"
