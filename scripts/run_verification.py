@@ -8,9 +8,10 @@ sweeps a small grid of generator settings, to show the synchronization
 property is not an artifact of one tree or aggregation shape.
 """
 import argparse
+import textwrap
 import time
 
-from bpa.pipeline import GenParams, verify
+from bpa.pipeline import GenParams, render_summary, verify
 
 #: tree shapes, then aggregation shapes other than the default two groups of
 #: two.  On these the applicability gate still passes some aggregations
@@ -22,6 +23,8 @@ SWEEP = (
     GenParams(agg_group_count=1, agg_group_size=3),
     GenParams(agg_group_count=1, agg_group_size=4),
     GenParams(agg_group_count=3, agg_group_size=2),
+    GenParams(agg_group_count=2, agg_group_size=3),
+    GenParams(agg_group_count=3, agg_group_size=3, activity_budget=14),
 )
 
 
@@ -47,18 +50,9 @@ def main(argv=None) -> int:
         print(
             f"depth<={params.max_depth} budget={params.activity_budget} "
             f"children<={params.max_children} "
-            f"groups={params.agg_group_count}x{params.agg_group_size}: {summary.instances} instances, "
-            f"{summary.iso_checks} isomorphic, {summary.profile_checks} profile "
-            f"checks, {summary.count_checks} count checks, "
-            f"{len(summary.failures)} failures  [{elapsed:.1f}s]"
+            f"groups={params.agg_group_count}x{params.agg_group_size} [{elapsed:.1f}s]:"
         )
-        for failure in summary.failures:
-            print(f"  FAIL seed={failure.seed}: {failure.reason}")
-            print(f"       model: {failure.model}")
-            print(f"       spec:  {failure.spec}")
-            if failure.shrunk_model:
-                print(f"       shrunk model: {failure.shrunk_model}")
-                print(f"       shrunk spec:  {failure.shrunk_spec}")
+        print(textwrap.indent(render_summary(summary), "  "))
         all_ok = all_ok and summary.ok
 
     if args.negative_control:

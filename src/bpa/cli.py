@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Subcommands cover the individual stages (discover, profile, minlog,
-abstract-model, abstract-log) and the end-to-end flows (roundtrip,
-verify).  Logs are read from CSV when the file ends in ``.csv`` and from
-the compact one-trace-per-line format otherwise; model arguments accept a
-file path or a literal tree expression.
+Subcommands cover the individual stages (discover, profile, minlog, and
+the paper's two techniques: abstract-model runs ``ma_bpa``, abstract-log
+``ea_bpa``) and the end-to-end flows (roundtrip, verify).  Logs are read
+from CSV when the file ends in ``.csv`` and from the compact
+one-trace-per-line format otherwise; model arguments accept a file path or
+a literal tree expression.
 
-Exit codes: 0 on success, 2 when a restriction or applicability gate
-failed (the chain may still have produced output), 1 on everything else.
+Exit codes: 0 on success, 2 when a gate failed or stage-two matching found
+no reference trace (roundtrip may still have produced output), 1 on
+everything else.  Handlers raise; only ``main`` maps exceptions to codes.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import io
 import sys
 from pathlib import Path
 
+from .event_abstraction import MatchingError, ea_bpa
 from .logs import (
     EventLog,
     dfg_of_log,
@@ -26,10 +29,10 @@ from .logs import (
     write_csv_log,
 )
 from .miner import check_restricted
-from .model_abstraction import load_agg_spec, plan
-from .pipeline import roundtrip, verify
+from .model_abstraction import InapplicableError, load_agg_spec, ma_bpa
+from .pipeline import GenerationError, render_summary, roundtrip, verify
 from .profiles import behavioral_profile, graph_to_dot, order_relations_graph
-from .semantics import LogSizeError, minimal_log, ntl
+from .semantics import LogSizeError, minimal_log
 from .trees import (
     parse_tree,
     render_tree,
@@ -39,14 +42,21 @@ from .trees import (
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_GATE = 2  # restriction or applicability failure
+EXIT_GATE = 2  # a failed gate, or stage-two matching
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, LogSizeError) as exc:  # parse and class errors are ValueErrors
+    except InapplicableError as exc:
+        _print_violations(exc.report, "aggregation not applicable")
+        return EXIT_GATE
+    except MatchingError as exc:
+        print(f"trace matching failed: {exc}", file=sys.stderr)
+        return EXIT_GATE
+    # parse and class errors are ValueErrors
+    except (ValueError, OSError, LogSizeError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -205,20 +215,15 @@ def cmd_profile(args) -> int:
 def cmd_minlog(args) -> int:
     tree = _read_tree(args.model)
     log = minimal_log(tree)
-    counts = ntl(tree)
     text, suffix = _log_text(log, args.format)
     _emit(args, f"minimal_log.{suffix}", text)
-    print(f"{counts.tr} traces, {counts.size} events", file=sys.stderr)
+    print(f"{log.num_traces} traces, {log.num_events} events", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_abstract_model(args) -> int:
     tree = _read_tree(args.model)
-    abstraction = plan(tree, _load_spec(args.agg))
-    if not abstraction.report.in_class:
-        _print_violations(abstraction.report, "aggregation not applicable")
-        return EXIT_GATE
-    abstracted = abstraction.tree
+    abstracted = ma_bpa(tree, _load_spec(args.agg))
     text, suffix = _tree_text(abstracted, args.format)
     _emit(args, f"abstract_model.{suffix}", text)
     print(f"size {size(tree)} -> {size(abstracted)}", file=sys.stderr)
@@ -227,17 +232,7 @@ def cmd_abstract_model(args) -> int:
 
 def cmd_abstract_log(args) -> int:
     log = _read_log(args, args.log)
-    report = roundtrip(log, _load_spec(args.agg))
-    if not report.applicability.in_class:
-        _print_violations(
-            report.applicability, "aggregation not applicable to the discovered model"
-        )
-        return EXIT_GATE
-    abstracted = report.abstract_log
-    if abstracted is None:  # stage-two matching failed
-        for line in report.failures:
-            print(line, file=sys.stderr)
-        return EXIT_GATE
+    abstracted = ea_bpa(log, _load_spec(args.agg))
     text, suffix = _log_text(abstracted, args.format)
     _emit(args, f"abstract_log.{suffix}", text)
     print(
@@ -293,17 +288,5 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_verify(args) -> int:
     summary = verify(args.instances, seed=args.seed, negative_control=args.negative_control)
-    for failure in summary.failures:
-        print(f"FAIL seed={failure.seed}: {failure.reason}")
-        print(f"  model: {failure.model}")
-        print(f"  agg:   {failure.spec.replace(chr(10), ' ')}")
-        if failure.shrunk_model:
-            print(f"  shrunk model: {failure.shrunk_model}")
-            assert failure.shrunk_spec is not None
-            print(f"  shrunk agg:   {failure.shrunk_spec.replace(chr(10), ' ')}")
-    print(
-        f"{summary.instances} instances: {summary.iso_checks} isomorphic, "
-        f"{summary.profile_checks} profile checks, {summary.count_checks} count checks, "
-        f"{len(summary.failures)} failures"
-    )
+    print(render_summary(summary))
     return EXIT_OK if summary.ok else EXIT_ERROR

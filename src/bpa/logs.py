@@ -298,9 +298,10 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
 
 def _timestamp_key(ts: str):
     try:
-        return (0, float(ts))
+        value = float(ts)
     except ValueError:
         return (1, ts)
+    return (0, value) if value == value else (1, ts)  # nan orders with no number: text
 
 
 def write_csv_log(log: EventLog, target) -> None:

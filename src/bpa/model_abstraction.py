@@ -65,11 +65,7 @@ logger = logging.getLogger(__name__)
 _PRIMITIVE_ENUM_LIMIT = 16
 
 
-class AbstractionError(RuntimeError):
-    pass
-
-
-class InapplicableError(AbstractionError):
+class InapplicableError(RuntimeError):
     """The aggregation is not applicable to the model; carries the report."""
 
     def __init__(self, report: ClassReport):

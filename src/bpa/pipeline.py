@@ -9,8 +9,8 @@ the rediscovered tree with the abstracted model up to isomorphism.
 ``verify`` repeats this over randomly generated instances and additionally
 checks two invariants per instance: the abstracted model realizes exactly
 the derived abstract profile, and the predicted trace count and lengths of
-its minimal log match the actual minimal log.  Failing instances are
-shrunk to smaller counterexamples before reporting.
+its minimal log match the actual minimal log.  A failed check fails the
+instance; failed round trips are shrunk to smaller counterexamples.
 """
 from __future__ import annotations
 
@@ -101,6 +101,11 @@ class GenerationError(RuntimeError):
     pass
 
 
+SELF_LOOP_PROB = 0.25  # chance that a generated leaf is a self-loop loop(a, tau)
+MAX_ATTEMPTS = 200  # trees sampled per instance before the generator gives up
+MAX_BASE_TRACES = 400  # the most traces a generated tree's minimal log may have
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Knobs for random instance generation.
@@ -115,13 +120,9 @@ class GenParams:
     max_depth: int = 4
     max_children: int = 3
     activity_budget: int = 12
-    self_loop_prob: float = 0.25
     agg_group_count: int = 2
     agg_group_size: int = 2
-    inflate: bool = True
     allow_unrestricted: bool = False
-    max_attempts: int = 200
-    max_base_traces: int = 400
 
 
 @dataclass(frozen=True)
@@ -143,26 +144,28 @@ def generate_instance(params: GenParams) -> Instance:
     size = max(2, params.agg_group_size)
     if count == 1 and size == 2 and not params.allow_unrestricted:
         size = 3  # a lone two-activity group never clears the union bound
-    for _ in range(params.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         tree = _random_tree(rng, params)
         # a tree too small for the grouping is refused before its log is built
         if tree is None or len(activities(tree)) < count * size:
             continue
         try:
-            ntl(tree, trace_cap=params.max_base_traces)
+            ntl(tree, trace_cap=MAX_BASE_TRACES)
         except LogSizeError:
             continue
         spec = _random_spec(tree, rng, count, size, params.allow_unrestricted)
         if spec is None:
             continue
-        log = _inflate(minimal_log(tree, trace_cap=params.max_base_traces), rng, params)
+        log = EventLog()
+        for trace, n in minimal_log(tree, trace_cap=MAX_BASE_TRACES).variants():
+            log.add(trace, n * rng.randint(1, 10))
         check = check_restricted(log)
         abstraction = plan(check.tree, spec)
         if not (params.allow_unrestricted or check.restricted and abstraction.report.in_class):
             continue
         return Instance(tree, log, spec, params.seed, check, abstraction)
     raise GenerationError(
-        f"no viable instance after {params.max_attempts} attempts (seed {params.seed})"
+        f"no viable instance after {MAX_ATTEMPTS} attempts (seed {params.seed})"
     )
 
 
@@ -174,7 +177,7 @@ def _random_tree(rng: random.Random, params: GenParams) -> ProcessTree | None:
         if not names:
             return None
         name = names.pop()
-        if rng.random() < params.self_loop_prob:
+        if rng.random() < SELF_LOOP_PROB:
             return node("loop", leaf(name), tau())
         return leaf(name)
 
@@ -227,14 +230,6 @@ def _random_spec(
     return None
 
 
-def _inflate(base: EventLog, rng: random.Random, params: GenParams) -> EventLog:
-    log = EventLog()
-    for trace, count in base.variants():
-        factor = rng.randint(1, 10) if params.inflate else 1
-        log.add(trace, count * factor)
-    return log
-
-
 # ---------------------------------------------------------------------------
 # Randomized verification
 # ---------------------------------------------------------------------------
@@ -280,16 +275,38 @@ def verify(
         instance = generate_instance(replace(base, seed=seed + i))
         report = _roundtrip(instance.log, instance.check, instance.abstraction)
         summary.instances += 1
+        reasons = list(report.failures)
         if report.abstract_model is not None:
             if _profile_realized(report):
                 summary.profile_checks += 1
+            else:
+                reasons.append("abstracted model does not realize the derived profile")
             if _counts_match(report.abstract_model):
                 summary.count_checks += 1
+            else:
+                reasons.append("minimal log does not match the predicted trace count and lengths")
         if report.isomorphic is True:
             summary.iso_checks += 1
-        else:
-            summary.failures.append(_record_failure(instance, report))
+        if reasons:
+            summary.failures.append(_record_failure(instance, report, reasons))
     return summary
+
+
+def render_summary(summary: VerificationSummary) -> str:
+    """Each failure with its shrunk counterexample, then the counts."""
+    lines = []
+    for f in summary.failures:
+        lines.append(f"FAIL seed={f.seed}: {f.reason}")
+        for label, model, spec in ("", f.model, f.spec), ("shrunk ", f.shrunk_model, f.shrunk_spec):
+            if model:
+                spec = spec.replace("\n", " ")
+                lines += [f"  {label}model: {model}", f"  {label}agg:   {spec}"]
+    lines.append(
+        f"{summary.instances} instances: {summary.iso_checks} isomorphic, "
+        f"{summary.profile_checks} profile checks, {summary.count_checks} count checks, "
+        f"{len(summary.failures)} failures"
+    )
+    return "\n".join(lines)
 
 
 def _profile_realized(report: RoundtripReport) -> bool:
@@ -315,16 +332,18 @@ def _counts_match(abstract_model: ProcessTree) -> bool:
     )
 
 
-def _record_failure(instance: Instance, report: RoundtripReport) -> FailureRecord:
-    reason = "; ".join(report.failures) if report.failures else "round trip failed"
-    # only shrink instances that cleared the gates; an inapplicable instance
-    # (negative control) is already its own explanation
-    shrunk = _shrink(instance) if report.applicability.in_class else instance
+def _record_failure(
+    instance: Instance, report: RoundtripReport, reasons: list[str]
+) -> FailureRecord:
+    # shrink only round trips that passed the gate and failed, as _shrink's candidates
+    # must; an inapplicable instance (negative control) is its own explanation
+    failed = report.applicability.in_class and report.isomorphic is not True
+    shrunk = _shrink(instance) if failed else instance
     return FailureRecord(
         seed=instance.seed,
         model=render_tree(instance.model),
         spec=dump_agg_spec(instance.spec),
-        reason=reason,
+        reason="; ".join(reasons),
         shrunk_model=render_tree(shrunk.model) if shrunk is not instance else None,
         shrunk_spec=dump_agg_spec(shrunk.spec) if shrunk is not instance else None,
     )

@@ -6,13 +6,17 @@ from itertools import accumulate
 
 import pytest
 
+import bpa.pipeline as pipeline
 from bpa import make_spec
 from bpa.cli import main
 from bpa.logs import format_compact, log_from_sequences
+from bpa.miner import check_restricted, discover
 from bpa.model_abstraction import dump_agg_spec
 from bpa.pipeline import GenParams, generate_instance
-from bpa.trees import MAX_TREE_DEPTH
+from bpa.semantics import minimal_log
+from bpa.trees import MAX_TREE_DEPTH, isomorphic, parse_tree
 from conftest import CLAIMS_ABSTRACT, CLAIMS_GROUPS, CLAIMS_MODEL, build_claims_log
+from test_pipeline import record_calls
 from test_trees import nested
 
 
@@ -121,6 +125,52 @@ def test_abstract_log_csv_format(claims_files, capsys):
     out = capsys.readouterr().out
     header = out.splitlines()[0]
     assert header == "case,activity,concrete,transposed"
+
+
+def test_abstract_log_gate_failure(tmp_path, capsys):
+    log = tmp_path / "log.txt"
+    log.write_text("a,b,c\n")
+    agg = tmp_path / "agg.json"
+    agg.write_text(json.dumps({"w_t": "1/2", "X": ["a", "c"]}))
+    assert main(["abstract-log", str(log), str(agg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("aggregation not applicable:\n  - [aggregation-union]")
+
+
+def test_abstract_log_matching_failure(tmp_path, capsys):
+    # passes the gate, but the trace <a9> becomes <X1>, which no reference has
+    log = tmp_path / "log.txt"
+    log.write_text(format_compact(minimal_log(parse_tree("xor(a9,and(a5,a6,a7))"))))
+    agg = tmp_path / "agg.json"
+    agg.write_text(json.dumps({"w_t": "2/3", "X1": ["a5", "a7", "a9"]}))
+    assert main(["abstract-log", str(log), str(agg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "trace matching failed: no reference trace with activities {X1:1}\n"
+
+
+def test_abstract_log_runs_no_audit_and_no_rediscovery(monkeypatch, claims_files, capsys):
+    discovered = record_calls(monkeypatch, discover)
+    audited = record_calls(monkeypatch, check_restricted)
+    compared = record_calls(monkeypatch, isomorphic)
+    assert main(["abstract-log", *claims_files]) == 0
+    assert (len(discovered), audited, compared) == (1, [], [])
+
+
+def test_verify_generation_error_is_an_error(monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "_random_tree", lambda *_: None)
+    assert main(["verify", "-n", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: no viable instance after")
+    assert "Traceback" not in out.err + out.out
+
+
+def test_verify_exits_1_on_a_failed_side_invariant(monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "_counts_match", lambda *_: False)
+    assert main(["verify", "-n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "2 instances: 2 isomorphic, 2 profile checks, 0 count checks, 2 failures" in out
 
 
 def test_roundtrip_gate_exit_on_unrestricted_logs(claims_files, capsys):

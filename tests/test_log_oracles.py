@@ -225,6 +225,8 @@ CRAFTED_CSVS = [
     # c2 comes back after c3 started, and its first stretch is c1's and
     # c4's whole sequence; c3 has a quoted newline
     'case,activity\nc1,a\nc1,b\nc2,a\nc2,b\nc3,"x\ny"\nc2,c\nc3,a\nc4,a\nc4,b\n',
+    # a nan timestamp sorts as text, after the numbers
+    "case,activity,timestamp\nc1,c,3\nc1,x,nan\nc1,a,1\nc2,b,NaN\nc2,a,-1\nc2,c,z\n",
 ]
 
 

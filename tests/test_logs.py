@@ -242,6 +242,11 @@ def test_csv_reader_orders_by_timestamp_then_file_order():
     assert sorted(log.as_multiset()) == [("a", "b"), ("x", "y")]
 
 
+def test_csv_reader_sorts_a_nan_timestamp_after_the_numbers():
+    text = "case,activity,timestamp\nc1,c,3\nc1,x,nan\nc1,a,1\n"
+    assert read_csv_log(io.StringIO(text)).as_multiset() == {("a", "c", "x"): 1}
+
+
 def test_csv_attr_columns_become_event_attrs():
     text = "case,activity,attr:team\nc1,a,blue\n"
     log = read_csv_log(io.StringIO(text))

@@ -255,12 +255,24 @@ def test_verify_refuses_a_negative_instance_count():
 
 def test_generation_fails_loudly_when_parameters_are_unsatisfiable():
     with pytest.raises(GenerationError, match="no viable instance"):
-        generate_instance(GenParams(activity_budget=3, max_attempts=5))
+        generate_instance(GenParams(activity_budget=3))
 
 
 # ---------------------------------------------------------------------------
 # Randomized verification
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("check, reason", [
+    ("_profile_realized", "does not realize the derived profile"),
+    ("_counts_match", "predicted trace count and lengths"),
+])
+def test_verify_fails_on_a_failed_side_invariant(monkeypatch, check, reason):
+    monkeypatch.setattr(pipeline, check, lambda *_: False)
+    summary = verify(2)
+    assert summary.iso_checks == 2
+    assert not summary.ok and len(summary.failures) == 2
+    assert all(reason in failure.reason for failure in summary.failures)
+
 
 def test_verify_small_corpus_is_clean():
     summary = verify(12, seed=0)
