@@ -290,3 +290,7 @@ def cmd_verify(args) -> int:
     summary = verify(args.instances, seed=args.seed, negative_control=args.negative_control)
     print(render_summary(summary))
     return EXIT_OK if summary.ok else EXIT_ERROR
+
+
+if __name__ == "__main__":
+    sys.exit(main())

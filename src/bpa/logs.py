@@ -136,9 +136,6 @@ class EventLog:
             return NotImplemented
         return self.as_multiset() == other.as_multiset()
 
-    def __hash__(self) -> int:  # pragma: no cover - logs are not dict keys
-        return hash(frozenset(self.as_multiset().items()))
-
     def __repr__(self) -> str:
         return f"EventLog({self.num_traces} traces, {self.num_events} events)"
 
@@ -341,15 +338,14 @@ _MULT_RE = re.compile(r"^x(\d+) (.*)$")
 def read_compact(text: str) -> EventLog:
     """Parse the compact one-trace-per-line format from a string."""
     log = EventLog()
-    for raw in text.splitlines():
-        line = raw.rstrip("\n")
-        if not line.strip() and not _MULT_RE.match(line):
-            continue
+    for line in text.splitlines():
         m = _MULT_RE.match(line)
         if m:
             count, rest = int(m.group(1)), m.group(2)
-        else:
+        elif line.strip():
             count, rest = 1, line
+        else:
+            continue
         acts = [a.strip() for a in rest.split(",") if a.strip()]
         log.add(acts, count)
     return log

@@ -6,8 +6,11 @@ reverse gives strict order ``->``; neither direction gives choice ``+``;
 both directions give parallel ``||``.  Self-pairs are ``||`` exactly when
 the activity can repeat (here: sits under a self-loop), else ``+``.
 
-The computation is structural: for duplicate-free trees the relation of a
-pair is fully determined by the lowest common ancestor.
+The computation is structural: in a duplicate-free tree the operator at
+the lowest common ancestor of two activities fixes their relation.  So each
+operator node relates the activities of every two of its children: a
+``seq`` node gives ``->`` from an earlier child to a later one, ``xor``
+gives ``+`` and ``and`` gives ``||``.
 """
 from __future__ import annotations
 
@@ -24,6 +27,9 @@ PARALLEL = "||"
 RELATIONS = (STRICT, INVERSE, CHOICE, PARALLEL)
 
 _MIRROR = {STRICT: INVERSE, INVERSE: STRICT, CHOICE: CHOICE, PARALLEL: PARALLEL}
+
+#: relation of an operator's earlier child's activities to a later child's
+_NODE_RELATION = {"seq": STRICT, "xor": CHOICE, "and": PARALLEL}
 
 
 def mirror(relation: str) -> str:
@@ -83,40 +89,35 @@ def profile_from_function(acts, rel: Callable[[str, str], str]) -> BehavioralPro
 # ---------------------------------------------------------------------------
 
 def behavioral_profile(model: ProcessTree) -> BehavioralProfile:
-    """Profile of a duplicate-free tree via lowest common ancestors."""
+    """Profile of a duplicate-free tree in one recursion over its operator
+    nodes: each relates the activities of every two of its children."""
     require_class(model, "C_c")
+    relations: dict[tuple[str, str], str] = {}
 
-    # Path of each activity: sequence of (node-identity, child-index) pairs.
-    paths: dict[str, list[tuple[int, int, ProcessTree]]] = {}
+    def visit(t: ProcessTree) -> list[str]:
+        """The activities of ``t``, after relating its pairs."""
+        if not t.children:
+            if t.is_tau:
+                return []
+            relations[t.label, t.label] = CHOICE
+            return [t.label]
+        if t.label == "loop":  # loop(v, tau) in C_c: v may repeat
+            v = t.children[0].label
+            relations[v, v] = PARALLEL
+            return [v]
+        rel = _NODE_RELATION[t.label]
+        back = mirror(rel)
+        acts: list[str] = []
+        for c in t.children:
+            later = visit(c)
+            for x in acts:
+                for y in later:
+                    relations[x, y] = rel
+                    relations[y, x] = back
+            acts += later
+        return acts
 
-    def collect(t: ProcessTree, prefix: list[tuple[int, int, ProcessTree]]) -> None:
-        if t.is_activity:
-            paths[t.label] = list(prefix)
-            return
-        for i, c in enumerate(t.children):
-            collect(c, prefix + [(id(t), i, t)])
-
-    collect(model, [])
-
-    def lca_relation(x: str, y: str) -> str:
-        px, py = paths[x], paths[y]
-        if x == y:
-            looped = any(n.label == "loop" for _, _, n in px)
-            return PARALLEL if looped else CHOICE
-        k = 0
-        while k < len(px) and k < len(py) and px[k][0] == py[k][0] and px[k][1] == py[k][1]:
-            k += 1
-        # px[k] and py[k] share the node but diverge in child index.
-        node = px[k][2]
-        if node.label == "seq":
-            return STRICT if px[k][1] < py[k][1] else INVERSE
-        if node.label == "xor":
-            return CHOICE
-        if node.label == "and":
-            return PARALLEL
-        raise AssertionError("distinct activities cannot share a loop ancestor in C_c")
-
-    return profile_from_function(paths.keys(), lca_relation)
+    return BehavioralProfile(frozenset(visit(model)), relations)
 
 
 # ---------------------------------------------------------------------------

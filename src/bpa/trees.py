@@ -239,39 +239,30 @@ def check_class(tree: ProcessTree, which: str = "C_c") -> ClassReport:
     ``C_c``: no duplicate activities (rule ``duplicate-activity``) and every
     loop node is exactly ``loop(v, tau)`` (rule ``loop-shape``).  ``C_a``
     additionally forbids tau leaves outside self-loop nodes (rule
-    ``tau-outside-self-loop``).
+    ``tau-outside-self-loop``).  Violations are listed rule by rule, in that
+    order, and within a rule in pre-order.
     """
     if which not in ("C_c", "C_a"):
         raise ValueError(f"unknown tree class: {which!r}")
     if _in_class(tree, which == "C_a"):
         return ClassReport(in_class=True)
-    violations: list[tuple[str, str, str]] = []
-
+    duplicates, loops, taus = [], [], []
     seen: dict[str, str] = {}
+    sanctioned: set[str] = set()  # paths of self-loop taus; subtrees may be shared
     for path, t in walk(tree):
-        if t.label in seen:
+        if t.is_self_loop:
+            sanctioned.add(f"{path}.1".lstrip("."))
+        elif t.label == "loop":
+            loops.append(("loop-shape", path, "loop node is not of the form loop(v,tau)"))
+        elif t.is_tau:
+            if which == "C_a" and path not in sanctioned:
+                taus.append(("tau-outside-self-loop", path, "tau leaf outside a self-loop"))
+        elif t.label in seen:
             message = f"activity '{t.label}' already used at '{seen[t.label]}'"
-            violations.append(("duplicate-activity", path, message))
+            duplicates.append(("duplicate-activity", path, message))
         elif t.is_activity:
             seen[t.label] = path
-
-    for path, t in walk(tree):
-        if t.label == "loop" and not t.is_self_loop:
-            violations.append(("loop-shape", path, "loop node is not of the form loop(v,tau)"))
-
-    if which == "C_a":
-        def scan(t: ProcessTree, path: str) -> None:
-            if t.is_self_loop:
-                return  # the only sanctioned tau
-            if t.is_tau:
-                violations.append(("tau-outside-self-loop", path, "tau leaf outside a self-loop"))
-                return
-            for i, c in enumerate(t.children):
-                scan(c, f"{path}.{i}".lstrip("."))
-
-        scan(tree, "")
-
-    return ClassReport.from_violations(violations)
+    return ClassReport.from_violations(duplicates + loops + taus)
 
 
 def _in_class(tree: ProcessTree, tau_only_in_self_loops: bool) -> bool:

@@ -10,9 +10,11 @@ co-occurrence off the concrete relations; the oracle generator derives the
 full abstract profile of every candidate and reads co-occurrence off the
 traces of the base log.
 
-The profiles: ``bpa`` derives the relation of a pair from its lowest
-common ancestor; the oracle reads it off the traces of the minimal log and
-one more loop unrolling (``enumerate_language``).
+The profiles: ``bpa`` relates the activities of every two children of
+each operator node in one recursion; ``lca_profile`` builds the root path
+of every activity and searches each pair's lowest common ancestor, and
+``weak_order_oracle`` reads the relations off the traces of the minimal
+log and one more loop unrolling (``enumerate_language``).
 
 The graph side: ``bpa`` partitions activity sets with a small union of
 classes and reads the sequence cut off per-activity reachability sets.  The
@@ -310,6 +312,44 @@ def enumerate_language(tree: ProcessTree, loop_bound: int = 1) -> set[tuple[str,
         frontier = {f + r + b for f in frontier for r in redos for b in body}
         out |= frontier
     return out
+
+
+def lca_profile(model: ProcessTree) -> BehavioralProfile:
+    """Profile of a duplicate-free tree, one lowest-common-ancestor search
+    over two root paths per pair."""
+    require_class(model, "C_c")
+
+    # Path of each activity: sequence of (node-identity, child-index) pairs.
+    paths: dict[str, list[tuple[int, int, ProcessTree]]] = {}
+
+    def collect(t: ProcessTree, prefix: list[tuple[int, int, ProcessTree]]) -> None:
+        if t.is_activity:
+            paths[t.label] = list(prefix)
+            return
+        for i, c in enumerate(t.children):
+            collect(c, prefix + [(id(t), i, t)])
+
+    collect(model, [])
+
+    def lca_relation(x: str, y: str) -> str:
+        px, py = paths[x], paths[y]
+        if x == y:
+            looped = any(n.label == "loop" for _, _, n in px)
+            return PARALLEL if looped else CHOICE
+        k = 0
+        while k < len(px) and k < len(py) and px[k][0] == py[k][0] and px[k][1] == py[k][1]:
+            k += 1
+        # px[k] and py[k] share the node but diverge in child index.
+        node = px[k][2]
+        if node.label == "seq":
+            return STRICT if px[k][1] < py[k][1] else INVERSE
+        if node.label == "xor":
+            return CHOICE
+        if node.label == "and":
+            return PARALLEL
+        raise AssertionError("distinct activities cannot share a loop ancestor in C_c")
+
+    return profile_from_function(paths.keys(), lca_relation)
 
 
 def weak_order_oracle(model: ProcessTree, trace_cap: int = 2000) -> BehavioralProfile:

@@ -1,8 +1,12 @@
 """Command-line interface: subcommands, formats, --out, and exit codes
 (0 ok, 2 gate failure, 1 error)."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
@@ -405,6 +409,21 @@ def test_help_exits_0(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert "usage: bpa verify" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["bpa", "bpa.cli"])
+def test_python_m_runs_the_cli(module):
+    paths = [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+    def run(*argv):
+        argv = [sys.executable, "-m", module, *argv]
+        return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+    ok = run("minlog", "seq(a,b)")
+    assert ok.returncode == 0
+    assert ok.stdout.splitlines()[0] == "a,b"
+    assert run("minlog", "seq(a,b)", "--bogus").returncode == 1
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS_READ))

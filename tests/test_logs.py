@@ -290,6 +290,17 @@ def test_compact_empty_trace_needs_explicit_count():
     assert read_compact(text) == log
 
 
+def test_compact_counts_empty_traces_and_skips_blank_lines():
+    log = read_compact("x3 \n  \n\na\n")
+    assert log.as_multiset() == {(): 3, ("a",): 1}
+
+
+def test_event_logs_are_unhashable():
+    # a value hash on a multiset that ``add`` mutates would lose set members
+    with pytest.raises(TypeError):
+        hash(EventLog())
+
+
 @given(traces_strategy)
 def test_compact_roundtrip_random_logs(seqs):
     log = EventLog(seqs)

@@ -19,7 +19,7 @@ from bpa.profiles import (
 from bpa.semantics import LogSizeError, minimal_log
 from bpa.trees import node, normal_form, parse_tree, tau
 from conftest import CLAIMS_MODEL, ORDERS_DESIGNED, ORDERS_DISCOVERED, random_tree
-from oracles import weak_order_oracle
+from oracles import lca_profile, weak_order_oracle
 
 trees = st.builds(random_tree, st.randoms(use_true_random=False))
 
@@ -155,6 +155,14 @@ def test_distinct_activities_co_occur_exactly_when_not_in_choice(tree, rng):
     for a, b in profile.pairs():
         if a != b:
             assert ((a, b) in together) == (profile.relation(a, b) != CHOICE)
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_structural_equals_lca_oracle_on_large_trees(rng, n):
+    # beyond the language oracle's trace cap; skips add taus outside self-loops
+    tree = with_skips(random_tree(rng, n_activities=n, max_children=4), rng)
+    assert behavioral_profile(tree) == lca_profile(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ and the structural class checks."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpa.profiles import behavioral_profile
@@ -284,11 +284,23 @@ def test_unknown_class_name_rejected():
         check_class(leaf("a"), "C_z")
 
 
+def shared_tau_tree() -> ProcessTree:
+    """``xor(loop(a,tau),tau)`` with one tau object in both places."""
+    shared = tau()
+    return node("xor", node("loop", leaf("a"), shared), shared)
+
+
 @given(unrestricted | trees)
+@example(shared_tau_tree())
 @settings(max_examples=200)
 def test_class_checks_match_the_path_annotated_oracle(tree):
     for which in ("C_c", "C_a"):
         assert check_class(tree, which) == oracles.check_class(tree, which)
+
+
+def test_a_tau_shared_with_a_self_loop_is_reported_outside_it():
+    report = check_class(shared_tau_tree(), "C_a")
+    assert [(r, p) for r, p, _ in report.violations] == [("tau-outside-self-loop", "1")]
 
 
 def test_require_class_raises_with_report():
