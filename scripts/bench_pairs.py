@@ -20,9 +20,11 @@ The file goes to ``BENCH_<label>.json`` in the change's checkout, with the
 keys ``what``, ``command``, ``machine``, ``runs``, ``parent_commit``,
 ``note``, ``summary`` and ``results``.  The summary gives, per workload and
 end-to-end metric, each side's quartiles (``statistics.quantiles(n=4,
-method='inclusive')``), the ratio of the medians (``change_over_parent``) and
+method='inclusive')``), the ratio of the medians (``change_over_parent``),
 in how many pairs the change read better, by the direction
-``BENCHMARK.json`` declares; per traced pair, both sides' per-layer values.
+``BENCHMARK.json`` declares, and whether that is a gain (``gain_rule_met``:
+better in at least 9 of 10 pairs, medians apart by more than the parent's
+quartile spread); per traced pair, both sides' per-layer values.
 """
 from __future__ import annotations
 
@@ -68,15 +70,20 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
-    """Quartiles, median ratio and pairs won per end-to-end metric."""
+    """Quartiles, median ratio, pairs won and the gain rule per end-to-end
+    metric.  The gain rule is met when the change is better in at least 9
+    of 10 pairs (a tie counts for neither side) and its median is better
+    than the parent's by more than the parent's q3 - q1."""
     out: dict = {}
     for metric, direction in better.items():
         if metric not in pairs[0][0]["metrics"]:
             continue
         parent = [p["metrics"][metric]["value"] for p, _ in pairs]
         change = [c["metrics"][metric]["value"] for _, c in pairs]
-        won = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
+        sign = -1 if direction == "lower" else 1
+        won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         p_side, c_side = quartiles(parent), quartiles(change)
+        gap = sign * (c_side["median"] - p_side["median"])
         out[metric] = {
             "parent": p_side,
             "change": c_side,
@@ -84,6 +91,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
                 round(c_side["median"] / p_side["median"], 3) if p_side["median"] else None
             ),
             "change_better_in_pairs": f"{won}/{len(pairs)}",
+            "gain_rule_met": 10 * won >= 9 * len(pairs) and gap > p_side["q3"] - p_side["q1"],
         }
     out["error_rate"] = {
         "parent": [p["details"]["error_rate"] for p, _ in pairs],

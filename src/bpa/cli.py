@@ -136,11 +136,11 @@ def _read_tree(arg: str):
         is_file = Path(arg).is_file()
     except OSError:  # a literal too long to be a file name
         is_file = False
-    return parse_tree((Path(arg).read_text() if is_file else arg).strip())
+    return parse_tree((Path(arg).read_text(encoding="utf-8-sig") if is_file else arg).strip())
 
 
 def _load_spec(path: str):
-    return load_agg_spec(Path(path).read_text())
+    return load_agg_spec(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _emit(args, filename: str, text: str) -> None:

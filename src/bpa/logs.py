@@ -26,6 +26,7 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
@@ -224,12 +225,13 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
 
     Required columns ``case`` and ``activity``; optional ``timestamp``
     (sorting key within a case, stable w.r.t. file order); every column
-    named ``attr:NAME`` becomes an event attribute ``NAME``.  A row too
-    short for its case, activity or timestamp, or a field the ``csv``
-    module refuses, is a ``ValueError`` naming the line where the row ends.
+    named ``attr:NAME`` becomes an event attribute ``NAME``.  A path is read
+    as UTF-8, a leading byte-order mark skipped.  A row too short for its
+    case, activity or timestamp, or a field the ``csv`` module refuses, is a
+    ``ValueError`` naming the line where the row ends.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, newline="") as fh:
+        with open(source, newline="", encoding="utf-8-sig") as fh:
             return read_csv_log(fh, attrs_identity)
     reader = csv.reader(source)
     try:
@@ -242,42 +244,41 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
         required = sorted((col[c], c) for c in ("case", "activity", "timestamp") if c in col)
         named = [(c[5:], col[c]) for c in header if c.startswith("attr:")]
         named += [(c, col[c]) for c in ("concrete", "transposed") if c in col]
-        event_key = operator.itemgetter(ai, *(j for _, j in named))
-        ids: dict[object, int] = {}  # event key -> its Event's index in events
-        events: list[Event] = []
-        # case -> its event ids, or (timestamp key, id) pairs, in file order.
-        # A case read in one stretch of rows becomes a tuple shared through
-        # ``distinct`` with every case of the same ids; a case that comes
-        # back after another case started is copied to a list once and
-        # grows in place from then on, so switching cases stays O(1).
+        # a row's raw key: its activity, its named values and, last, its timestamp
+        raw_key = operator.itemgetter(ai, *(j for _, j in named), *([] if ti is None else [ti]))
+        # case -> its keys in file order, or (timestamp key, event key) pairs.
+        # A stretch of one case's consecutive rows is compacted when it ends:
+        # a case's first stretch without timestamps becomes a tuple shared
+        # through ``distinct`` with every case of the same keys; any other
+        # stretch keeps one ``shared`` copy per distinct key and joins its
+        # case's list, which grows in place, so switching cases stays O(1).
         cases: dict[str, tuple | list] = {}
         distinct: dict[tuple, tuple] = {}
-        case, run, fresh = None, [], False
-        for row in reader:
-            if len(row) < width:
+        shared: dict = {}
+        case, run = None, []
+        for row in chain(reader, [[None] * width]):  # the extra row ends the last stretch
+            try:
+                case_id, key = row[ci], raw_key(row)
+            except IndexError:
                 if not row:
                     continue
                 missing = [c for i, c in required if i >= len(row)]
                 if missing:
                     raise ValueError(f"CSV line {reader.line_num}: row has no '{missing[0]}' field")
-                row += [""] * (width - len(row))
-            eid = ids.get(key := event_key(row))
-            if eid is None:
-                eid = ids[key] = len(events)
-                events.append(Event(row[ai], tuple(sorted((k, row[j]) for k, j in named if row[j]))))
-            if ti is not None:
-                eid = (_timestamp_key(row[ti]), eid)
-            if row[ci] != case:
-                if fresh:
-                    cases[case] = distinct.setdefault(seq := tuple(run), seq)
-                case = row[ci]
-                run = cases.get(case)
-                fresh = run is None
-                if fresh:
-                    run = cases[case] = []
-                elif type(run) is tuple:
-                    run = cases[case] = list(run)
-            run.append(eid)
+                case_id, key = row[ci], raw_key(row + [""] * (width - len(row)))
+            if case_id != case:
+                if run:
+                    seen = cases.get(case)
+                    if seen is None and ti is None:
+                        cases[case] = distinct.setdefault(seq := tuple(run), seq)
+                    else:
+                        if type(seen) is not list:
+                            seen = cases[case] = list(seen or ())
+                        seen += [shared.setdefault(k, k) for k in run] if ti is None else [
+                            (_timestamp_key(k[-1]), shared.setdefault(e := k[:-1], e)) for k in run
+                        ]
+                case, run = case_id, []
+            run.append(key)
     except csv.Error as exc:
         raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
     if ti is None:
@@ -285,11 +286,15 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
     else:
         first = operator.itemgetter(0)  # a stable sort keeps ties in file order
         variants = Counter(
-            tuple(eid for _, eid in sorted(rows, key=first)) for rows in cases.values()
+            tuple(key for _, key in sorted(rows, key=first)) for rows in cases.values()
         )
+    events: dict[object, Event] = {}  # one Event per distinct key
+    for key in {key for seq in variants for key in seq}:
+        activity, *values = key if type(key) is tuple else (key,)
+        events[key] = Event(activity, tuple(sorted((k, v) for (k, _), v in zip(named, values) if v)))
     log = EventLog(attrs_identity=attrs_identity)
     for seq, count in variants.items():
-        log.add(tuple(events[i] for i in seq), count)
+        log.add(tuple(map(events.__getitem__, seq)), count)
     return log
 
 
@@ -305,7 +310,7 @@ def write_csv_log(log: EventLog, target) -> None:
     """Write a log as CSV; abstraction attributes ``concrete`` and
     ``transposed`` get their own columns, all others go to ``attr:*``."""
     if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", newline="") as fh:
+        with open(target, "w", newline="", encoding="utf-8") as fh:
             write_csv_log(log, fh)
             return
     special = ("concrete", "transposed")
@@ -352,7 +357,7 @@ def read_compact(text: str) -> EventLog:
 
 
 def read_compact_file(path) -> EventLog:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return read_compact(fh.read())
 
 

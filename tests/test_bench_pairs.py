@@ -1,0 +1,47 @@
+"""``scripts/bench_pairs.py``'s summary of alternating benchmark pairs."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def record(value: float) -> dict:
+    return {"metrics": {"events_per_s": {"value": value}}, "details": {"error_rate": 0.0}}
+
+
+def summary(parent: list[float], change: list[float], better: str = "higher") -> dict:
+    pairs = [(record(p), record(c)) for p, c in zip(parent, change)]
+    return bench_pairs.summarize(pairs, {"events_per_s": better})["events_per_s"]
+
+
+PARENT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # q1 102.25, q3 106.75
+
+
+def test_gain_rule_met_when_nine_pairs_win_by_more_than_the_spread():
+    got = summary(PARENT, [p + 10 for p in PARENT[:9]] + [90])
+    assert got["change_better_in_pairs"] == "9/10"
+    assert got["gain_rule_met"] is True
+
+
+@pytest.mark.parametrize(
+    "change, why",
+    [
+        ([p + 10 for p in PARENT[:8]] + [90, 90], "better in only 8/10 pairs"),
+        ([p + 10 for p in PARENT[:8]] + [108, 109], "two ties count for neither side"),
+        ([p + 4 for p in PARENT], "medians 4 apart, the spread is 4.5"),
+    ],
+)
+def test_gain_rule_not_met(change, why):
+    assert summary(PARENT, change)["gain_rule_met"] is False, why
+
+
+def test_gain_rule_follows_the_declared_direction():
+    faster = [p - 10 for p in PARENT]
+    assert summary(PARENT, faster, better="lower")["gain_rule_met"] is True
+    assert summary(PARENT, faster, better="higher")["gain_rule_met"] is False
+    assert summary(PARENT, faster, better="higher")["change_better_in_pairs"] == "0/10"

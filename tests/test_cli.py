@@ -51,6 +51,33 @@ def test_discover_reads_csv_logs(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "and(a,b)"
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [("log.csv", "case,activity\n1,a\n1,b\n2,b\n2,a\n"), ("log.txt", "a,b\nb,a\n")],
+)
+def test_discover_skips_a_byte_order_mark(tmp_path, capsys, name, text):
+    # spreadsheet tools start a UTF-8 file with one
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    for folder, prefix in ((plain, ""), (marked, "\ufeff")):
+        folder.mkdir()
+        (folder / name).write_text(prefix + text, encoding="utf-8")
+    assert main(["discover", str(plain / name)]) == 0
+    want = capsys.readouterr()
+    assert main(["discover", str(marked / name)]) == 0
+    got = capsys.readouterr()
+    assert got.out == want.out and got.out.strip() == "and(a,b)"
+    assert got.err == want.err
+
+
+def test_model_and_spec_files_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    model, agg = tmp_path / "model.txt", tmp_path / "agg.json"
+    model.write_text("\ufeff" + CLAIMS_MODEL, encoding="utf-8")
+    spec = dump_agg_spec(make_spec(CLAIMS_GROUPS, Fraction(1, 2)))
+    agg.write_text("\ufeff" + spec, encoding="utf-8")
+    assert main(["abstract-model", str(model), str(agg)]) == 0
+    assert capsys.readouterr().out.strip() == CLAIMS_ABSTRACT
+
+
 def test_discover_dot_output(tmp_path, capsys):
     path = tmp_path / "log.txt"
     path.write_text(format_compact(log_from_sequences([("a", "b")])))
