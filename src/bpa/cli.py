@@ -148,7 +148,7 @@ def _emit(args, filename: str, text: str) -> None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         target = out_dir / filename
-        target.write_text(text if text.endswith("\n") else text + "\n")
+        target.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
         print(f"wrote {target}", file=sys.stderr)
     else:
         print(text)

@@ -14,7 +14,10 @@ abstract names to sets of concrete activities, and a rational threshold
    modular decomposition tree, and synthesize one tree node per module
    (linear -> ``seq``, XOR-complete -> ``xor``, AND-complete -> ``and``,
    a leaf in parallel self-relation -> self-loop).  Primitive modules have
-   no corresponding operator, so synthesis fails on them.
+   no corresponding operator, so synthesis fails on them.  The
+   decomposition is exact at every size: one rule finds the strong modules
+   of linear and primitive nodes alike, so only real primitive modules are
+   reported.
 
 :func:`plan` runs the applicability gate and all three steps once, sharing
 one weight table and one decomposition tree.
@@ -59,11 +62,6 @@ from .trees import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: Primitive modules larger than this are reported with singleton children
-#: (their exact strong-module children are only needed at oracle scale).
-_PRIMITIVE_ENUM_LIMIT = 16
-
 
 class InapplicableError(RuntimeError):
     """The aggregation is not applicable to the model; carries the report."""
@@ -128,7 +126,10 @@ def expand_spec(spec: AggSpec, alphabet: Iterable[str]) -> AggSpec:
 
 def load_agg_spec(text: str) -> AggSpec:
     """Parse the JSON spec format: ``{"w_t": "p/q", name: [members...]}``."""
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        raise ValueError("aggregation spec nests too deeply") from None
     if not isinstance(raw, dict) or "w_t" not in raw:
         raise ValueError("aggregation spec needs a 'w_t' entry")
     value = str(raw.pop("w_t"))
@@ -379,6 +380,9 @@ def _components(vertices: frozenset[str], adjacent) -> list[frozenset[str]]:
 
 
 def _decompose(vertices: frozenset[str], edges: set[tuple[str, str]]) -> MDTNode:
+    """The node of ``vertices``: complete, linear or primitive, and its
+    children the maximal proper strong modules (Ehrenfeucht & Rozenberg's
+    prime decomposition of 2-structures), exact at every size."""
     if len(vertices) == 1:
         return MDTNode(vertices, "leaf")
 
@@ -396,76 +400,53 @@ def _decompose(vertices: frozenset[str], edges: set[tuple[str, str]]) -> MDTNode
     if len(comps) > 1:
         return MDTNode(vertices, "xor-complete", tuple(_decompose(c, edges) for c in comps))
 
-    comps = _components(vertices, lambda a, b: has_any(a, b) == has_both(a, b))
-    if len(comps) > 1:
-        ordered = _linear_order(comps, edges)
-        if ordered is not None:
-            return MDTNode(vertices, "linear", tuple(_decompose(c, edges) for c in ordered))
-
-    children = _primitive_children(vertices, edges)
-    return MDTNode(vertices, "primitive", tuple(_decompose(c, edges) for c in children))
-
-
-def _linear_order(
-    comps: list[frozenset[str]], edges: set[tuple[str, str]]
-) -> list[frozenset[str]] | None:
-    """Total order on the parts under uniform one-directional edges, or
-    None when directions are mixed (the module is then primitive)."""
-
-    def before(p: frozenset[str], q: frozenset[str]) -> bool:
-        return all((a, b) in edges and (b, a) not in edges for a in p for b in q)
-
-    order = sorted(comps, key=lambda p: -sum(before(p, q) for q in comps))
-    if all(before(p, q) for i, p in enumerate(order) for q in order[i + 1:]):
-        return order
-    return None
-
-
-def _primitive_children(
-    vertices: frozenset[str], edges: set[tuple[str, str]]
-) -> list[frozenset[str]]:
-    """Maximal proper strong modules of a primitive node.
-
-    Exact (by enumeration) up to ``_PRIMITIVE_ENUM_LIMIT`` vertices; above
-    that the node is reported with singleton children, which is all the
-    synthesis step needs (it fails on primitive modules regardless)."""
+    # vertex sets as bitmasks over the sorted vertices
     vs = sorted(vertices)
-    if len(vs) > _PRIMITIVE_ENUM_LIMIT:
-        return [frozenset({v}) for v in vs]
-
-    def is_module(member_set: frozenset[str]) -> bool:
-        probe = next(iter(member_set))
-        for z in vs:
-            if z in member_set:
-                continue
-            zin = (z, probe) in edges
-            zout = (probe, z) in edges
-            for u in member_set:
-                if ((z, u) in edges) != zin or ((u, z) in edges) != zout:
-                    return False
-        return True
-
-    modules: list[frozenset[str]] = []
     n = len(vs)
-    for mask in range(3, 1 << n):
-        sub = frozenset(vs[i] for i in range(n) if mask >> i & 1)
-        if 1 < len(sub) < n and is_module(sub):
-            modules.append(sub)
+    out = [sum(1 << j for j, u in enumerate(vs) if (v, u) in edges) for v in vs]
+    into = [sum(1 << j for j, u in enumerate(vs) if (u, v) in edges) for v in vs]
+    full = (1 << n) - 1
 
-    def strong(s: frozenset[str]) -> bool:
-        return all(t <= s or s <= t or not (s & t) for t in modules)
+    # the least prefix holding a vertex: add every vertex that is not a strict
+    # successor of a member; the prefixes form a chain
+    not_after = [full & ~(out[i] & ~into[i]) for i in range(n)]
+    prefixes = sorted({_closure(1 << i, not_after.__getitem__, n) for i in range(n)})
+    if len(prefixes) > 1:
+        parts = [b & ~a for a, b in zip([0, *prefixes], prefixes)]
+        return MDTNode(vertices, "linear", tuple(_decompose(_members(vs, m), edges) for m in parts))
 
-    strong_mods = sorted((s for s in modules if strong(s)), key=len, reverse=True)
-    children: list[frozenset[str]] = []
-    covered: set[str] = set()
-    for s in strong_mods:
-        if not (s & covered):
-            children.append(s)
-            covered |= s
-    for v in vs:
-        if v not in covered:
-            children.append(frozenset({v}))
-    return sorted(children, key=min)
+    # primitive: the child of v is v with every smallest module M(v, w)
+    # short of the node, grown by the vertices that tell a member from v
+    children, free = [], full
+    while free:
+        v = (free & -free).bit_length() - 1
+        splitters = [(into[i] ^ into[v]) | (out[i] ^ out[v]) for i in range(n)]
+        child = 1 << v
+        for w in range(v + 1, n):
+            if (free & ~child) >> w & 1:
+                module = _closure(1 << v | 1 << w, splitters.__getitem__, n)
+                if module != full:
+                    child |= module
+        children.append(child)
+        free &= ~child
+    return MDTNode(vertices, "primitive", tuple(_decompose(_members(vs, m), edges) for m in children))
+
+
+def _closure(mask: int, grow, n: int) -> int:
+    """The least superset of ``mask`` that ``grow`` adds nothing to:
+    ``grow(i)`` is the bitmask member ``i`` brings in, and ``n`` the number
+    of vertices, whose full mask ends the search early."""
+    full, todo = (1 << n) - 1, mask
+    while todo and mask != full:
+        i = (todo & -todo).bit_length() - 1
+        more = grow(i) & ~mask
+        mask |= more
+        todo = (todo | more) & ~(1 << i)
+    return mask
+
+
+def _members(vs: list[str], mask: int) -> frozenset[str]:
+    return frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,31 @@ def test_zero_denominator_threshold_is_an_error(tmp_path, capsys):
     assert "error: invalid w_t" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text", ['{"w_t":"1/2","X":' + "[" * 100_000, "[" * 100_000],
+    ids=["nested-group", "bare-brackets"],
+)
+def test_deeply_nested_spec_is_an_error(tmp_path, capsys, text):
+    agg = tmp_path / "agg.json"
+    agg.write_text(text)
+    assert main(["abstract-model", "seq(a,b)", str(agg)]) == 1
+    assert capsys.readouterr().err == "error: aggregation spec nests too deeply\n"
+
+
+def test_abstract_model_reports_only_real_primitive_modules(tmp_path, capsys):
+    # the root is linear ({a6, a9} precedes the rest); only the module
+    # below it, whose members' pairs are mixed, is primitive
+    agg = tmp_path / "agg.json"
+    agg.write_text(json.dumps({"w_t": "1/2", "X1": ["a2", "a5"], "X2": ["a0", "a1"]}))
+    model = (
+        "xor(a7,seq(and(loop(a6,tau),a9),and(loop(a1,tau),xor(a3,a5)),"
+        "and(loop(a0,tau),a8),xor(a4,a2)))"
+    )
+    assert main(["abstract-model", model, str(agg)]) == 2
+    lines = [line for line in capsys.readouterr().err.splitlines() if "[primitive-module]" in line]
+    assert lines == ["  - [primitive-module] primitive module over ['X1', 'X2', 'a3', 'a4', 'a8']"]
+
+
 def test_minlog_accepts_trees_at_the_depth_limit(tmp_path, capsys):
     model = tmp_path / "model.txt"
     model.write_text(nested(MAX_TREE_DEPTH))
@@ -438,19 +463,32 @@ def test_help_exits_0(capsys):
     assert "usage: bpa verify" in capsys.readouterr().out
 
 
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """The environment of a child interpreter that imports this checkout's bpa."""
+    paths = [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
 @pytest.mark.parametrize("module", ["bpa", "bpa.cli"])
 def test_python_m_runs_the_cli(module):
-    paths = [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-
     def run(*argv):
         argv = [sys.executable, "-m", module, *argv]
-        return subprocess.run(argv, env=env, capture_output=True, text=True)
+        return subprocess.run(argv, env=subprocess_env(), capture_output=True, text=True)
 
     ok = run("minlog", "seq(a,b)")
     assert ok.returncode == 0
     assert ok.stdout.splitlines()[0] == "a,b"
     assert run("minlog", "seq(a,b)", "--bogus").returncode == 1
+
+
+def test_out_files_are_utf8_whatever_the_locale(tmp_path):
+    # the dot output labels edges with an arrow, which ASCII cannot encode
+    env = subprocess_env(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    log = Path(__file__).parents[1] / "fixtures" / "claims_log.txt"
+    argv = [sys.executable, "-m", "bpa", "discover", str(log), "--format", "dot", "--out", str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "\u2192" in (tmp_path / "model.dot").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS_READ))

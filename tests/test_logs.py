@@ -3,7 +3,7 @@ formats (CSV and compact)."""
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpa.logs import (
@@ -288,6 +288,25 @@ def test_compact_empty_trace_needs_explicit_count():
     text = format_compact(log)
     assert text == "x2 \n"
     assert read_compact(text) == log
+
+
+fuzz_compact_texts = st.lists(
+    st.one_of(
+        st.sampled_from(["x", "x2 ", "x0 ", "x-1 ", "a", "tau", ",", " ", "\n", "\r", "\r\n", "\u2028"]),
+        st.just("x" + "9" * 5_000 + " "),  # past int()'s digit limit
+        st.text(max_size=4),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@given(fuzz_compact_texts)
+@settings(max_examples=100, deadline=None)
+def test_compact_reader_raises_only_value_errors_on_fuzzed_text(text):
+    try:
+        read_compact(text)
+    except ValueError:
+        pass
 
 
 def test_compact_counts_empty_traces_and_skips_blank_lines():

@@ -4,10 +4,10 @@ import json
 import logging
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -115,6 +115,36 @@ def test_load_agg_spec_rejects_a_zero_denominator():
 def test_load_agg_spec_rejects_non_list_groups():
     with pytest.raises(ValueError, match="list of activity names"):
         load_agg_spec('{"w_t": "1/2", "X": "ab"}')
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers()
+    | st.sampled_from(["1/2", "1/0", "a", "b", "tau", "X-1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["w_t", "X", "a", "tau"]), inner, max_size=3),
+    max_leaves=8,
+)
+fuzz_spec_texts = st.one_of(
+    st.lists(
+        st.one_of(
+            st.sampled_from(['{', '}', '[', ']', '"w_t"', ':', '"1/2"', '"X"', '"a"', ',', "1e999", "NaN"]),
+            st.just("[" * 100_000),  # nested brackets
+            st.text(max_size=4),
+        ),
+        max_size=20,
+    ).map("".join),
+    st.tuples(json_values, st.dictionaries(st.sampled_from(["X", "a", "tau"]), json_values, max_size=3))
+    .map(lambda p: json.dumps({"w_t": p[0], **p[1]})),
+)
+
+
+@given(fuzz_spec_texts)
+@settings(max_examples=100, deadline=None)
+def test_load_agg_spec_raises_only_value_errors_on_fuzzed_text(text):
+    try:
+        load_agg_spec(text)
+    except ValueError:
+        pass
 
 
 def test_spec_json_roundtrip():
@@ -480,12 +510,60 @@ def random_profile(rng: random.Random) -> BehavioralProfile:
     return profile_from_function(names, rel)
 
 
-@given(st.randoms(use_true_random=False))
+def quotient_kind(node: MDTNode, edges) -> str:
+    """The kind the relations between a node's children call for, in the
+    order the children are listed (they are modules: one member speaks for
+    each)."""
+    reps = [min(c.members) for c in node.children]
+    pairs = {((a, b) in edges, (b, a) in edges) for a, b in combinations(reps, 2)}
+    if pairs == {(False, False)}:
+        return "and-complete"
+    if pairs == {(True, True)}:
+        return "xor-complete"
+    if pairs == {(True, False)}:
+        return "linear"
+    if pairs <= {(True, False), (False, True)}:
+        successors = {sum((a, b) in edges for b in reps) for a in reps}
+        if len(successors) == len(reps):  # an acyclic tournament
+            return "linear, listed out of order"
+    return "primitive"
+
+
+#: a -> b -> c -> a strictly, all of them strictly before d and e, and d -> e
+STRICT_CYCLE_FIRST = {("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), *product("abc", "de")}
+
+
+@given(st.builds(random_profile, st.randoms(use_true_random=False)))
+@example(profile_from_function(
+    "abcde",
+    lambda x, y: CHOICE if x == y else STRICT if (x, y) in STRICT_CYCLE_FIRST else INVERSE,
+))
 @settings(max_examples=80, deadline=None)
-def test_mdt_nodes_are_exactly_the_strong_modules(rng):
-    graph = order_relations_graph(random_profile(rng))
+def test_mdt_nodes_are_exactly_the_strong_modules(profile):
+    graph = order_relations_graph(profile)
     mdt = modular_decomposition(graph)
     assert mdt.member_sets() == brute_force_strong_modules(graph)
+    for node in mdt.iter_nodes():
+        if node.children:
+            assert node.kind == quotient_kind(node, graph.edges)
+
+
+def test_mdt_is_exact_above_sixteen_vertices():
+    # a choice path p00 - p01 - ... - p17 (prime) and q05, a twin of p05 in
+    # choice with it; every other pair is parallel
+    path = [f"p{i:02}" for i in range(18)]
+    neighbours = {frozenset(p) for p in zip(path, path[1:])}
+    neighbours |= {frozenset({"q05", "p04"}), frozenset({"q05", "p06"}), frozenset({"q05", "p05"})}
+    profile = profile_from_function(
+        [*path, "q05"],
+        lambda x, y: CHOICE if x == y or frozenset({x, y}) in neighbours else PARALLEL,
+    )
+    mdt = modular_decomposition(order_relations_graph(profile))
+    assert mdt.kind == "primitive"
+    assert mdt.member_sets() == {
+        frozenset(profile.activities), frozenset({"p05", "q05"}),
+        *(frozenset({v}) for v in profile.activities),
+    }
 
 
 @given(st.randoms(use_true_random=False))

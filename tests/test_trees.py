@@ -324,3 +324,22 @@ def test_tree_to_dot_mentions_every_activity():
     assert dot.startswith("digraph")
     for label in ("a", "b", "→", "×", "τ"):  # operators render as glyphs
         assert label in dot
+
+
+fuzz_tree_texts = st.lists(
+    st.one_of(
+        st.sampled_from(["seq", "xor", "and", "loop", "tau", "a", "b1", "(", ")", ",", " ", "\n", "\x00"]),
+        st.sampled_from(["seq(" * (MAX_TREE_DEPTH + 50), "(" * 1_000]),  # nested brackets
+        st.text(max_size=4),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@given(fuzz_tree_texts)
+@settings(max_examples=100, deadline=None)
+def test_parser_raises_only_value_errors_on_fuzzed_text(text):
+    try:
+        parse_tree(text)
+    except ValueError:
+        pass
