@@ -18,13 +18,15 @@ checkout.
 
 The file goes to ``BENCH_<label>.json`` in the change's checkout, with the
 keys ``what``, ``command``, ``machine``, ``runs``, ``parent_commit``,
-``note``, ``summary`` and ``results``.  The summary gives, per workload and
-end-to-end metric, each side's quartiles (``statistics.quantiles(n=4,
-method='inclusive')``), the ratio of the medians (``change_over_parent``),
-in how many pairs the change read better, by the direction
-``BENCHMARK.json`` declares, and whether that is a gain (``gain_rule_met``:
-better in at least 9 of 10 pairs, medians apart by more than the parent's
-quartile spread); per traced pair, both sides' per-layer values.
+``note``, ``summary`` and ``results``.  ``parent_commit`` is the ``commit``
+of the parent's result records, so neither checkout need be a git one.
+The summary gives, per workload and end-to-end metric, each side's
+quartiles (``statistics.quantiles(n=4, method='inclusive')``), the ratio of
+the medians (``change_over_parent``), in how many pairs the change read
+better, by the direction ``BENCHMARK.json`` declares, and whether that is a
+gain (``gain_rule_met``: better in at least 9 of 10 pairs, medians apart by
+more than the parent's quartile spread); per traced pair, both sides'
+per-layer values.
 """
 from __future__ import annotations
 
@@ -149,15 +151,12 @@ def main(argv=None) -> int:
          for w, s in args.run]
         + [f"traced {w} seed {','.join(map(str, s))}, parent first" for w, s in args.traced]
     )
-    commit = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=parent, check=True, capture_output=True, text=True
-    ).stdout.strip()
     bench = {
         "what": args.what,
         "command": f"python3 benchmark/run.py --workload W --seed N --seconds {args.seconds:g} --trace T",
         "machine": f"{records[0]['nproc']} CPUs, Python {records[0]['python']}",
         "runs": runs,
-        "parent_commit": commit,
+        "parent_commit": next(iter(results["parent"].values()))["commit"],
         "note": args.note,
         "summary": summary,
         "results": results,

@@ -78,16 +78,12 @@ _POSITIONALS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes only the flags its handler reads."""
-    fmt, out, attrs = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    fmt, out = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     fmt.add_argument(
         "--format", choices=("text", "dot", "csv"), default="text",
         help="output format (default: text)",
     )
     out.add_argument("--out", metavar="DIR", help="write outputs into DIR instead of stdout")
-    attrs.add_argument(
-        "--attrs", action="store_true",
-        help="treat CSV traces with different attributes as different",
-    )
 
     parser = _Parser(
         prog="bpa",
@@ -95,13 +91,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, positionals, flags, help_text in (
-        ("discover", cmd_discover, ["log"], [fmt, out, attrs], "discover a process tree from a log"),
+        ("discover", cmd_discover, ["log"], [fmt, out], "discover a process tree from a log"),
         ("profile", cmd_profile, ["model"], [fmt, out], "behavioral profile of a model"),
         ("minlog", cmd_minlog, ["model"], [fmt, out], "minimal log of a model"),
         ("abstract-model", cmd_abstract_model, ["model", "agg"], [fmt, out], "abstract a model"),
-        ("abstract-log", cmd_abstract_log, ["log", "agg"], [fmt, out, attrs],
+        ("abstract-log", cmd_abstract_log, ["log", "agg"], [fmt, out],
          "abstract a log in sync with its model"),
-        ("roundtrip", cmd_roundtrip, ["log", "agg"], [out, attrs],
+        ("roundtrip", cmd_roundtrip, ["log", "agg"], [out],
          "abstract model and log, rediscover, compare"),
     ):
         p = sub.add_parser(name, parents=flags, help=help_text)
@@ -125,9 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # Shared input/output helpers
 # ---------------------------------------------------------------------------
 
-def _read_log(args, path: str) -> EventLog:
+def _read_log(path: str) -> EventLog:
     if Path(path).suffix.lower() == ".csv":
-        return read_csv_log(path, attrs_identity=args.attrs)
+        return read_csv_log(path)
     return read_compact_file(path)
 
 
@@ -151,6 +147,8 @@ def _emit(args, filename: str, text: str) -> None:
         target.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
         print(f"wrote {target}", file=sys.stderr)
     else:
+        if isinstance(sys.stdout, io.TextIOWrapper):  # UTF-8 whatever the locale
+            sys.stdout.reconfigure(encoding="utf-8")
         print(text)
 
 
@@ -183,7 +181,7 @@ def _print_violations(report, label: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_discover(args) -> int:
-    log = _read_log(args, args.log)
+    log = _read_log(args.log)
     check = check_restricted(log)
     text, suffix = _tree_text(check.tree, args.format)
     _emit(args, f"model.{suffix}", text)
@@ -231,7 +229,7 @@ def cmd_abstract_model(args) -> int:
 
 
 def cmd_abstract_log(args) -> int:
-    log = _read_log(args, args.log)
+    log = _read_log(args.log)
     abstracted = ea_bpa(log, _load_spec(args.agg))
     text, suffix = _log_text(abstracted, args.format)
     _emit(args, f"abstract_log.{suffix}", text)
@@ -244,7 +242,7 @@ def cmd_abstract_log(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    log = _read_log(args, args.log)
+    log = _read_log(args.log)
     spec = _load_spec(args.agg)
     report = roundtrip(log, spec)
 

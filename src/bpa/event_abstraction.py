@@ -126,7 +126,7 @@ def ea1(log: EventLog, abstraction: Abstraction) -> EventLog:
             else:
                 out.append(event)
         runs.append((tuple(out), n))
-    result = EventLog(attrs_identity=True)
+    result = EventLog()
     for trace, n in delete_choice_activities(runs, abstraction):
         result.add(trace, n)
     return result
@@ -233,7 +233,7 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
         item = [index, trace, acts, n, _order_mask(acts)]
         pool_classes.setdefault(tuple(sorted(acts)), []).append(item)
     reorder = functools.cache(_reorder)  # variants may share a sequence
-    result = EventLog(attrs_identity=True)
+    result = EventLog()
     for sig, remaining in pool_classes.items():
         refs = ref_classes.pop(sig, None)
         if refs is None:

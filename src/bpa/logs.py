@@ -1,9 +1,11 @@
 """Event logs as multisets of traces, plus directly-follows graphs and IO.
 
 Traces are tuples of :class:`Event`.  A log stores trace *variants* with
-multiplicities; by default two traces are the same variant when their
-activity sequences agree (control-flow identity), attribute columns are
-carried along but do not participate in identity unless requested.
+multiplicities; a variant is its sequence of events, attributes included,
+so two traces that differ only in an attribute are two variants.  The
+control-flow views (:meth:`EventLog.activity_variants`, ``==``,
+:func:`dfg_of_log`, :func:`format_compact` and discovery) read activity
+sequences only and ignore attributes.
 
 Supported file formats
 ----------------------
@@ -28,14 +30,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 START = "▷"  # artificial start node of the DFG
 END = "◁"    # artificial end node of the DFG
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A single event: an activity name plus optional string attributes."""
 
     activity: str
@@ -72,45 +73,34 @@ def trace_activities(trace: Trace) -> tuple[str, ...]:
 class EventLog:
     """Multiset of traces with insertion-ordered variants."""
 
-    __slots__ = ("_variants", "attrs_identity")
+    __slots__ = ("_variants",)
 
-    def __init__(self, traces: Iterable[Sequence[str | Event]] = (), attrs_identity: bool = False):
-        self._variants: dict[object, list] = {}
-        self.attrs_identity = attrs_identity
+    def __init__(self, traces: Iterable[Sequence[str | Event]] = ()):
+        self._variants: dict[Trace, int] = {}
         for t in traces:
             self.add(t)
-
-    def _key(self, trace: Trace) -> object:
-        if self.attrs_identity:
-            return trace
-        return trace_activities(trace)
 
     def add(self, trace: Sequence[str | Event], count: int = 1) -> None:
         if count < 1:
             raise ValueError("multiplicity must be >= 1")
         t = as_trace(trace)
-        key = self._key(t)
-        slot = self._variants.get(key)
-        if slot is None:
-            self._variants[key] = [t, count]
-        else:
-            slot[1] += count
+        self._variants[t] = self._variants.get(t, 0) + count
 
     # -- views -------------------------------------------------------------
     def variants(self) -> list[tuple[Trace, int]]:
         """Distinct traces with multiplicities, in first-appearance order."""
-        return [(t, c) for t, c in self._variants.values()]
+        return list(self._variants.items())
 
     def activity_variants(self) -> list[tuple[tuple[str, ...], int]]:
         out: dict[tuple[str, ...], int] = {}
-        for t, c in self._variants.values():
+        for t, c in self._variants.items():
             key = trace_activities(t)
             out[key] = out.get(key, 0) + c
         return list(out.items())
 
     def traces(self) -> Iterator[Trace]:
         """All traces, multiplicities expanded."""
-        for t, c in self._variants.values():
+        for t, c in self._variants.items():
             for _ in range(c):
                 yield t
 
@@ -119,11 +109,11 @@ class EventLog:
 
     @property
     def num_traces(self) -> int:
-        return sum(c for _, c in self._variants.values())
+        return sum(self._variants.values())
 
     @property
     def num_events(self) -> int:
-        return sum(c * len(t) for t, c in self._variants.values())
+        return sum(c * len(t) for t, c in self._variants.items())
 
     def __len__(self) -> int:
         return self.num_traces
@@ -142,16 +132,14 @@ class EventLog:
 
     def activities(self) -> set[str]:
         out: set[str] = set()
-        for t, _ in self._variants.values():
+        for t in self._variants:
             out.update(trace_activities(t))
         return out
 
     def union(self, other: "EventLog") -> "EventLog":
         """Multiset union (additive)."""
-        out = EventLog(attrs_identity=self.attrs_identity)
-        for t, c in self.variants():
-            out.add(t, c)
-        for t, c in other.variants():
+        out = EventLog()
+        for t, c in chain(self.variants(), other.variants()):
             out.add(t, c)
         return out
 
@@ -220,7 +208,7 @@ def dfg_to_dot(g: DFG, name: str = "dfg") -> str:
 # CSV ingestion / output
 # ---------------------------------------------------------------------------
 
-def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
+def read_csv_log(source) -> EventLog:
     """Read a log from a CSV path or file object.
 
     Required columns ``case`` and ``activity``; optional ``timestamp``
@@ -232,7 +220,7 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="", encoding="utf-8-sig") as fh:
-            return read_csv_log(fh, attrs_identity)
+            return read_csv_log(fh)
     reader = csv.reader(source)
     try:
         header = next(reader, None)
@@ -292,7 +280,7 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
     for key in {key for seq in variants for key in seq}:
         activity, *values = key if type(key) is tuple else (key,)
         events[key] = Event(activity, tuple(sorted((k, v) for (k, _), v in zip(named, values) if v)))
-    log = EventLog(attrs_identity=attrs_identity)
+    log = EventLog()
     for seq, count in variants.items():
         log.add(tuple(map(events.__getitem__, seq)), count)
     return log

@@ -453,32 +453,24 @@ def _members(vs: list[str], mask: int) -> frozenset[str]:
 # Synthesis
 # ---------------------------------------------------------------------------
 
-def _synthesize(profile: BehavioralProfile, mdt: MDTNode) -> ProcessTree | None:
+def _synthesize(profile: BehavioralProfile, mdt: MDTNode) -> ProcessTree:
     """Tree whose behavioral profile equals the given one, built on the
-    modular decomposition ``mdt`` of its order-relations graph, or None when
-    a primitive module makes the profile unrealizable."""
-    def build(m: MDTNode) -> ProcessTree | None:
+    modular decomposition ``mdt`` of its order-relations graph, which has no
+    primitive module (:func:`plan` synthesizes only when the gate passed)."""
+    def build(m: MDTNode) -> ProcessTree:
         if m.kind == "leaf":
             (x,) = m.members
             if profile.relation(x, x) == PARALLEL:
                 return ProcessTree("loop", (ProcessTree(x), ProcessTree("tau")))
             return ProcessTree(x)
-        if m.kind == "primitive":
-            return None
-        kids = []
-        for c in m.children:
-            sub = build(c)
-            if sub is None:
-                return None
-            kids.append(sub)
+        kids = [build(c) for c in m.children]
         if m.kind == "linear":
             return ProcessTree("seq", tuple(kids))
         op = "xor" if m.kind == "xor-complete" else "and"
         kids.sort(key=lambda t: render_tree(canonical(t)))
         return ProcessTree(op, tuple(kids))
 
-    tree = build(mdt)
-    return None if tree is None else normal_form(tree)
+    return normal_form(build(mdt))
 
 
 # ---------------------------------------------------------------------------

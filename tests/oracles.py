@@ -169,7 +169,8 @@ def map_activities(tree: ProcessTree, fn: Callable[[str], str]) -> ProcessTree:
 def synthesize(profile: BehavioralProfile) -> ProcessTree | None:
     """Tree whose behavioral profile equals the given one, or None when a
     primitive module makes the profile unrealizable."""
-    return _synthesize(profile, modular_decomposition(order_relations_graph(profile)))
+    mdt = modular_decomposition(order_relations_graph(profile))
+    return None if mdt.has_primitive() else _synthesize(profile, mdt)
 
 
 def interleavings(seqs: tuple[Sequence, ...]) -> Iterator[tuple]:
@@ -547,7 +548,7 @@ def ea1(log: EventLog, abstraction: Abstraction) -> EventLog:
 
     out = [_abstract_trace(trace, abstraction, cover) for trace in log.traces()]
     out = delete_choice_activities(out, abstraction)
-    result = EventLog(attrs_identity=True)
+    result = EventLog()
     for trace in out:
         result.add(trace)
     return result
@@ -693,7 +694,7 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
         acts = ", ".join(f"{a}:{n}" for a, n in unmatched[0].signature)
         raise MatchingError(f"reference traces with activities {{{acts}}} got no match")
 
-    result = EventLog(attrs_identity=True)
+    result = EventLog()
     for trace in out:
         result.add(trace)
     return result
@@ -703,7 +704,7 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
 # CSV
 # ---------------------------------------------------------------------------
 
-def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
+def read_csv_log(source) -> EventLog:
     reader = csv.DictReader(source)
     if reader.fieldnames is None or "case" not in reader.fieldnames or "activity" not in reader.fieldnames:
         raise ValueError("CSV log needs 'case' and 'activity' columns")
@@ -720,7 +721,7 @@ def read_csv_log(source, attrs_identity: bool = False) -> EventLog:
         ev = Event(row["activity"], tuple(sorted(named)))
         ts = row.get("timestamp", "") if has_ts else ""
         cases.setdefault(row["case"], []).append((ts, i, ev))
-    log = EventLog(attrs_identity=attrs_identity)
+    log = EventLog()
     for case in cases:
         rows = cases[case]
         if has_ts:

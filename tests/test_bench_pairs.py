@@ -1,5 +1,6 @@
 """``scripts/bench_pairs.py``'s summary of alternating benchmark pairs."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,26 @@ def test_gain_rule_follows_the_declared_direction():
     assert summary(PARENT, faster, better="lower")["gain_rule_met"] is True
     assert summary(PARENT, faster, better="higher")["gain_rule_met"] is False
     assert summary(PARENT, faster, better="higher")["change_better_in_pairs"] == "0/10"
+
+
+def test_main_takes_the_parent_commit_from_its_records(tmp_path, monkeypatch):
+    # neither checkout is a git one: the commit comes from the parent's runs
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "events_per_s", "better": "higher"}]}'
+    )
+    commits = {parent: "0123abc", change: "unknown"}
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        return {**record(100.0 + seed), "commit": commits[checkout], "failed": 0,
+                "attempted": 5, "nproc": 2, "python": "3.11.7"}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    argv = ["--parent", str(parent), "--change", str(change), "--label", "t",
+            "--what", "a test", "--run", "log_scale:1-2"]
+    assert bench_pairs.main(argv) == 0
+    bench = json.loads((change / "BENCH_t.json").read_text())
+    assert bench["parent_commit"] == "0123abc"
+    assert bench["summary"]["log_scale"]["events_per_s"]["change_better_in_pairs"] == "0/2"

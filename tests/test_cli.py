@@ -1,14 +1,20 @@
 """Command-line interface: subcommands, formats, --out, and exit codes
 (0 ok, 2 gate failure, 1 error)."""
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bpa.pipeline as pipeline
 from bpa import make_spec
@@ -305,6 +311,23 @@ def test_csv_field_over_the_csv_limit_is_an_error(tmp_path, capsys):
     assert "Traceback" not in out.err + out.out
 
 
+def test_abstracting_an_abstract_log_keeps_each_case_grounded(tmp_path, capsys):
+    # a variant is its event sequence: read back, cases whose X events list
+    # other concrete activities stay apart, and each keeps its own
+    log = tmp_path / "l4.txt"
+    log.write_text("a,b,e,f,g\na,c,e,f,g\nx2 a,d,e,f,g\n")
+    first, second = tmp_path / "x.json", tmp_path / "y.json"
+    first.write_text(json.dumps({"w_t": "1/2", "X": ["b", "c", "d"]}))
+    second.write_text(json.dumps({"w_t": "1/2", "Y": ["e", "f", "g"]}))
+    out = tmp_path / "o4"
+    assert main(["abstract-log", str(log), str(first), "--format", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["abstract-log", str(out / "abstract_log.csv"), str(second), "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["concrete"] for r in rows if r["activity"] == "X"] == ["b", "c", "d", "d"]
+    assert [r["concrete"] for r in rows if r["activity"] == "Y"] == ["e;f;g"] * 4
+
+
 def test_long_tree_literals_are_parsed(capsys):
     literal = f"seq({','.join(f'a{i}' for i in range(80))})"
     assert len(literal) > 300  # longer than a file name may be
@@ -421,14 +444,15 @@ def test_abstract_model_refuses_invalid_group_names(tmp_path, capsys, name):
 
 #: the flags each subcommand reads; every other flag is a usage error
 FLAGS_READ = {
-    "discover": {"--format", "--out", "--attrs"},
+    "discover": {"--format", "--out"},
     "profile": {"--format", "--out"},
     "minlog": {"--format", "--out"},
     "abstract-model": {"--format", "--out"},
-    "abstract-log": {"--format", "--out", "--attrs"},
-    "roundtrip": {"--out", "--attrs"},
+    "abstract-log": {"--format", "--out"},
+    "roundtrip": {"--out"},
     "verify": {"--seed"},
 }
+#: ``--attrs`` is read by none: a variant is always its event sequence
 FLAG_VALUES = {"--format": ["csv"], "--out": ["out"], "--attrs": [], "--seed": ["1"]}
 POSITIONALS = {
     "discover": ["log.txt"], "profile": ["seq(a,b)"], "minlog": ["seq(a,b)"],
@@ -481,14 +505,16 @@ def test_python_m_runs_the_cli(module):
     assert run("minlog", "seq(a,b)", "--bogus").returncode == 1
 
 
-def test_out_files_are_utf8_whatever_the_locale(tmp_path):
+@pytest.mark.parametrize("to_files", [True, False], ids=["out", "stdout"])
+def test_out_files_are_utf8_whatever_the_locale(tmp_path, to_files):
     # the dot output labels edges with an arrow, which ASCII cannot encode
     env = subprocess_env(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
     log = Path(__file__).parents[1] / "fixtures" / "claims_log.txt"
-    argv = [sys.executable, "-m", "bpa", "discover", str(log), "--format", "dot", "--out", str(tmp_path)]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    argv = [sys.executable, "-m", "bpa", "discover", str(log), "--format", "dot"]
+    done = subprocess.run(argv + ["--out", str(tmp_path)] * to_files, env=env, capture_output=True)
     assert done.returncode == 0, done.stderr
-    assert "\u2192" in (tmp_path / "model.dot").read_text(encoding="utf-8")
+    out = (tmp_path / "model.dot").read_bytes() if to_files else done.stdout
+    assert "\u2192" in out.decode("utf-8")
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS_READ))
@@ -506,3 +532,55 @@ def test_subcommands_accept_the_flags_they_read(tmp_path, claims_files, capsys, 
     assert "error" not in capsys.readouterr().err
     if "--out" in FLAGS_READ[command]:
         assert any(out_dir.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed logs end in an exit code
+# ---------------------------------------------------------------------------
+
+fuzz_names = st.sampled_from(["a", "b", "c", "d", "e", "tau", "x y", "é", "", " ", '"', "\r"])
+fuzz_compact = st.lists(
+    st.tuples(st.sampled_from(["", "", "x2 ", "x0 ", "x", "x3"]), st.lists(fuzz_names, max_size=7)),
+    max_size=8,
+).map(lambda lines: "\n".join(prefix + ",".join(acts) for prefix, acts in lines))
+fuzz_csv = st.tuples(
+    st.sampled_from(["case,activity\n", "case,activity,timestamp,attr:r\n", "activity,case\n", ""]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["1", "2", "3", ""]),
+            fuzz_names,
+            st.sampled_from(["", "1", "2", "nan", "t"]),
+            st.sampled_from(["", "p", "q"]),
+            st.integers(0, 4),  # how many fields the row keeps
+        ),
+        max_size=16,
+    ),
+).map(lambda p: p[0] + "".join(",".join(row[:4][: row[4]]) + "\n" for row in p[1]))
+fuzz_text = st.text(st.characters(), max_size=40)  # surrogates: bytes that are not UTF-8
+fuzz_specs = st.fixed_dictionaries(
+    {"w_t": st.sampled_from(["1/2", "1", "0", "2/3", 1])},
+    optional={
+        "X": st.lists(fuzz_names, min_size=1, max_size=3),
+        "Y": st.lists(st.sampled_from(["c", "d", "e"]), min_size=2, max_size=3),
+    },
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just("log.txt"), st.one_of(fuzz_compact, fuzz_text)),
+        st.tuples(st.just("log.csv"), st.one_of(fuzz_csv, fuzz_text)),
+    ),
+    fuzz_specs,
+)
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_logs_end_in_an_exit_code(named_text, spec):
+    name, text = named_text
+    with tempfile.TemporaryDirectory() as tmp:
+        log, agg = Path(tmp, name), Path(tmp, "agg.json")
+        log.write_bytes(text.encode("utf-8", "surrogatepass"))
+        agg.write_text(json.dumps(spec))
+        for argv in (["discover", str(log)], ["abstract-log", str(log), str(agg)]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                assert main(argv) in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()

@@ -29,7 +29,7 @@ FIXTURES = {
 
 
 def scaled(log: EventLog, factor: int) -> EventLog:
-    out = EventLog(attrs_identity=log.attrs_identity)
+    out = EventLog()
     for trace, n in log.variants():
         out.add(trace, n * factor)
     return out
@@ -53,7 +53,6 @@ def shuffled_csv(log: EventLog, seed: int) -> str:
 
 def assert_same_log(got: EventLog, want: EventLog) -> None:
     assert got.variants() == want.variants()
-    assert got.attrs_identity == want.attrs_identity
 
 
 def assert_same_abstraction(log: EventLog, spec) -> EventLog:
@@ -165,7 +164,7 @@ def test_stage_one_matches_the_per_trace_oracle_on_random_specs(rng, shape):
     # stage one works out each set once, the oracle every trace
     tree = random_tree(rng)
     alphabet = sorted(activities(tree))
-    log = EventLog(attrs_identity=True)
+    log = EventLog()
     for _ in range(rng.randint(1, 20)):
         acts = rng.sample(alphabet, rng.randint(1, len(alphabet)))
         for _ in range(rng.randint(1, 3)):
@@ -194,7 +193,7 @@ def test_random_pools_match_the_stage_two_oracle(pool):
     # one class of six reference traces; variants with one sequence but
     # other attributes tie on distance, so the greedy order decides
     model = parse_tree("and(a,b,c)")
-    log = EventLog(attrs_identity=True)
+    log = EventLog()
     for acts, concrete, n in pool:
         attrs = (("concrete", concrete),) if concrete else ()
         log.add([Event(a, attrs) for a in acts], n)
@@ -231,10 +230,16 @@ CRAFTED_CSVS = [
 
 
 @pytest.mark.parametrize("text", CRAFTED_CSVS)
-@pytest.mark.parametrize("attrs_identity", [False, True])
-def test_crafted_csvs_match_the_oracle(text, attrs_identity):
-    got = read_csv_log(io.StringIO(text), attrs_identity)
-    assert_same_log(got, oracles.read_csv_log(io.StringIO(text), attrs_identity))
+@pytest.mark.parametrize("from_path", [False, True])
+def test_crafted_csvs_match_the_oracle(text, from_path, tmp_path):
+    # from a file object, or from a path the reader opens itself
+    if from_path:
+        source = tmp_path / "log.csv"
+        source.write_text(text, encoding="utf-8", newline="")
+        got = read_csv_log(source)
+    else:
+        got = read_csv_log(io.StringIO(text))
+    assert_same_log(got, oracles.read_csv_log(io.StringIO(text)))
     assert as_csv(got) == as_csv(got, oracles.write_csv_log)
 
 
@@ -249,9 +254,9 @@ rows = st.lists(
 )
 
 
-@given(rows, st.booleans())
+@given(rows)
 @settings(max_examples=80, deadline=None)
-def test_random_csvs_match_the_oracle(table, attrs_identity):
+def test_random_csvs_match_the_oracle(table):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["timestamp", "case", "attr:colour", "activity"])
@@ -260,13 +265,13 @@ def test_random_csvs_match_the_oracle(table, attrs_identity):
             buf.write("\r\n")  # a blank line
         writer.writerow([ts, case, colour, act])
     text = buf.getvalue()
-    got = read_csv_log(io.StringIO(text), attrs_identity)
-    assert_same_log(got, oracles.read_csv_log(io.StringIO(text), attrs_identity))
+    got = read_csv_log(io.StringIO(text))
+    assert_same_log(got, oracles.read_csv_log(io.StringIO(text)))
     assert as_csv(got) == as_csv(got, oracles.write_csv_log)
 
 
 def test_writer_numbers_cases_across_empty_traces():
-    log = EventLog(attrs_identity=True)
+    log = EventLog()
     log.add([Event("a", (("concrete", "p"), ("team", "x")))], 2)
     log.add([], 3)
     log.add([Event("b", (("transposed", "true"),)), Event("a")], 2)
@@ -363,9 +368,9 @@ short_rows = st.lists(
 )
 
 
-@given(short_rows, st.booleans())
+@given(short_rows)
 @settings(max_examples=80, deadline=None)
-def test_short_rows_match_the_oracle_or_name_the_first_bad_line(table, attrs_identity):
+def test_short_rows_match_the_oracle_or_name_the_first_bad_line(table):
     # a row keeping 3 fields lost only its colour (perhaps a multi-line
     # one) and is padded; keeping 1 or 2 it lost the case or the activity;
     # keeping none it is a blank line
@@ -380,11 +385,11 @@ def test_short_rows_match_the_oracle_or_name_the_first_bad_line(table, attrs_ide
             error = f"CSV line {line}: row has no '{SHORT_FIELDS[kept]}' field"
     text = buf.getvalue()
     if error is None:
-        got = read_csv_log(io.StringIO(text), attrs_identity)
-        assert_same_log(got, oracles.read_csv_log(io.StringIO(text), attrs_identity))
+        got = read_csv_log(io.StringIO(text))
+        assert_same_log(got, oracles.read_csv_log(io.StringIO(text)))
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-            read_csv_log(io.StringIO(text), attrs_identity)
+            read_csv_log(io.StringIO(text))
 
 
 fuzz_texts = st.tuples(
@@ -400,10 +405,10 @@ fuzz_texts = st.tuples(
 ).map(lambda parts: parts[0] + "".join(parts[1]))
 
 
-@given(fuzz_texts, st.booleans())
+@given(fuzz_texts)
 @settings(max_examples=120, deadline=None)
-def test_csv_reader_raises_only_value_errors_on_fuzzed_text(text, attrs_identity):
+def test_csv_reader_raises_only_value_errors_on_fuzzed_text(text):
     try:
-        read_csv_log(io.StringIO(text), attrs_identity)
+        read_csv_log(io.StringIO(text))
     except ValueError:
         pass

@@ -108,19 +108,18 @@ def test_empty_trace_counts_as_trace():
     assert log.num_events == 0
 
 
-def test_attribute_blind_identity_by_default():
+def test_a_variant_is_its_event_sequence_and_control_flow_views_merge():
     log = EventLog()
-    log.add([Event("a", (("k", "1"),))])
-    log.add([Event("a", (("k", "2"),))])
-    assert len(log.variants()) == 1
-    assert log.num_traces == 2
-
-
-def test_attrs_identity_splits_variants():
-    log = EventLog(attrs_identity=True)
-    log.add([Event("a", (("k", "1"),))])
-    log.add([Event("a", (("k", "2"),))])
-    assert len(log.variants()) == 2
+    log.add([Event("a", (("k", "1"),)), Event("b")])
+    log.add([Event("a", (("k", "2"),)), Event("b")], 2)
+    log.add([Event("a", (("k", "1"),)), Event("b")])
+    assert [(trace_activities(t), t[0].get("k"), n) for t, n in log.variants()] == [
+        (("a", "b"), "1", 2),
+        (("a", "b"), "2", 2),
+    ]
+    assert log.activity_variants() == [(("a", "b"), 4)]
+    assert log == EventLog([("a", "b")] * 4)
+    assert format_compact(log) == "x4 a,b\n"
 
 
 def test_union_merges_counts():
@@ -187,13 +186,13 @@ def test_csv_roundtrip_plain(tmp_path):
 
 
 def test_csv_roundtrip_keeps_abstraction_columns():
-    log = EventLog(attrs_identity=True)
+    log = EventLog()
     log.add([Event("x", (("concrete", "a;b"), ("transposed", "true")))])
     buf = io.StringIO()
     write_csv_log(log, buf)
     text = buf.getvalue()
     assert "concrete" in text.splitlines()[0]
-    back = read_csv_log(io.StringIO(text), attrs_identity=True)
+    back = read_csv_log(io.StringIO(text))
     (trace, count), = back.variants()
     assert count == 1
     assert trace[0].get("concrete") == "a;b"
