@@ -23,10 +23,11 @@ of the parent's result records, so neither checkout need be a git one.
 The summary gives, per workload and end-to-end metric, each side's
 quartiles (``statistics.quantiles(n=4, method='inclusive')``), the ratio of
 the medians (``change_over_parent``), in how many pairs the change read
-better, by the direction ``BENCHMARK.json`` declares, and whether that is a
+better, by the direction ``BENCHMARK.json`` declares, whether that is a
 gain (``gain_rule_met``: better in at least 9 of 10 pairs, medians apart by
-more than the parent's quartile spread); per traced pair, both sides'
-per-layer values.
+more than the parent's quartile spread) and whether it is a regression
+beyond the declared ``bound`` (``regression``: ``worse``, ``unresolved`` or
+``none``); per traced pair, both sides' per-layer values.
 """
 from __future__ import annotations
 
@@ -71,21 +72,35 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
-    """Quartiles, median ratio, pairs won and the gain rule per end-to-end
-    metric.  The gain rule is met when the change is better in at least 9
-    of 10 pairs (a tie counts for neither side) and its median is better
-    than the parent's by more than the parent's q3 - q1."""
+def summarize(pairs: list[tuple[dict, dict]], declared: dict[str, dict]) -> dict:
+    """Quartiles, median ratio, pairs won, the gain rule and the regression
+    verdict per end-to-end metric, each declared with its ``better``
+    direction and ``bound``.  The gain rule is met when the change is better
+    in at least 9 of 10 pairs (a tie counts for neither side) and its median
+    is better than the parent's by more than the parent's q3 - q1.  The
+    regression is ``worse`` when the change's median is worse than the
+    parent's by more than ``bound`` times the parent's median, else
+    ``unresolved`` when the parent's q3 - q1 exceeds ``bound`` times its
+    median and some change run does not beat every parent run, else
+    ``none``."""
     out: dict = {}
-    for metric, direction in better.items():
+    for metric, spec in declared.items():
         if metric not in pairs[0][0]["metrics"]:
             continue
+        direction, bound = spec["better"], spec["bound"]
         parent = [p["metrics"][metric]["value"] for p, _ in pairs]
         change = [c["metrics"][metric]["value"] for _, c in pairs]
         sign = -1 if direction == "lower" else 1
         won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         p_side, c_side = quartiles(parent), quartiles(change)
         gap = sign * (c_side["median"] - p_side["median"])
+        if -gap > bound * p_side["median"]:
+            regression = "worse"
+        elif (p_side["q3"] - p_side["q1"] > bound * p_side["median"]
+              and min(sign * c for c in change) <= max(sign * p for p in parent)):
+            regression = "unresolved"
+        else:
+            regression = "none"
         out[metric] = {
             "parent": p_side,
             "change": c_side,
@@ -94,6 +109,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
             ),
             "change_better_in_pairs": f"{won}/{len(pairs)}",
             "gain_rule_met": 10 * won >= 9 * len(pairs) and gap > p_side["q3"] - p_side["q1"],
+            "regression": regression,
         }
     out["error_rate"] = {
         "parent": [p["details"]["error_rate"] for p, _ in pairs],
@@ -118,7 +134,7 @@ def main(argv=None) -> int:
     parent, change = args.parent.resolve(), args.change.resolve()
 
     declared = json.loads((change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    end_to_end = {m["name"]: m for m in declared["end_to_end"]}
     results: dict = {"parent": {}, "change": {}}
     summary: dict = {}
 
@@ -135,7 +151,7 @@ def main(argv=None) -> int:
 
     for workload, workload_seeds in args.run:
         pairs = [pair(workload, seed, 0, seed % 2 == 1) for seed in workload_seeds]
-        summary[workload] = summarize(pairs, better)
+        summary[workload] = summarize(pairs, end_to_end)
     for workload, traced_seeds in args.traced:
         for seed in traced_seeds:
             p, c = pair(workload, seed, 1, True)

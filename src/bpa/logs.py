@@ -2,10 +2,12 @@
 
 Traces are tuples of :class:`Event`.  A log stores trace *variants* with
 multiplicities; a variant is its sequence of events, attributes included,
-so two traces that differ only in an attribute are two variants.  The
-control-flow views (:meth:`EventLog.activity_variants`, ``==``,
+so two traces that differ only in an attribute are two variants.  An
+event keeps its attributes sorted, so their order never splits a variant.
+The control-flow views (:meth:`EventLog.activity_variants`, ``==``,
 :func:`dfg_of_log`, :func:`format_compact` and discovery) read activity
-sequences only and ignore attributes.
+sequences only and ignore attributes; discovery and :func:`dfg_of_log`
+share one directly-follows builder.
 
 Supported file formats
 ----------------------
@@ -36,11 +38,19 @@ START = "▷"  # artificial start node of the DFG
 END = "◁"    # artificial end node of the DFG
 
 
-class Event(NamedTuple):
-    """A single event: an activity name plus optional string attributes."""
-
+class _EventFields(NamedTuple):
     activity: str
     attrs: tuple[tuple[str, str], ...] = ()
+
+
+class Event(_EventFields):
+    """A single event: an activity name plus optional string attributes,
+    kept sorted, so the order they are given in never tells events apart."""
+
+    __slots__ = ()
+
+    def __new__(cls, activity: str, attrs: Iterable[tuple[str, str]] = ()) -> "Event":
+        return super().__new__(cls, activity, tuple(sorted(attrs)))
 
     def get(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.attrs:
@@ -51,7 +61,7 @@ class Event(NamedTuple):
     def with_attrs(self, **kv: str) -> "Event":
         merged = dict(self.attrs)
         merged.update(kv)
-        return Event(self.activity, tuple(sorted(merged.items())))
+        return Event(self.activity, merged.items())
 
 
 Trace = tuple[Event, ...]
@@ -179,17 +189,29 @@ class DFG:
 def dfg_of_log(log: EventLog) -> DFG:
     """Edge (x,y) iff y directly follows x in some trace; empty traces map
     to the single edge (START, END)."""
-    nodes = {START, END} | log.activities()
+    variants = [acts for acts, _ in log.activity_variants()]
+    edges, starts, ends = _dfg_edges(variants)
+    edges.update((START, a) for a in starts)
+    edges.update((a, END) for a in ends)
+    if not all(variants):
+        edges.add((START, END))
+    return DFG(frozenset({START, END} | log.activities()), frozenset(edges))
+
+
+def _dfg_edges(
+    variants: Iterable[Sequence[str]],
+) -> tuple[set[tuple[str, str]], set[str], set[str]]:
+    """Directly-follows edges, start and end activities of activity
+    sequences; an empty sequence adds nothing."""
     edges: set[tuple[str, str]] = set()
-    for acts, _ in log.activity_variants():
-        if not acts:
-            edges.add((START, END))
-            continue
-        edges.add((START, acts[0]))
-        for a, b in zip(acts, acts[1:]):
-            edges.add((a, b))
-        edges.add((acts[-1], END))
-    return DFG(frozenset(nodes), frozenset(edges))
+    starts: set[str] = set()
+    ends: set[str] = set()
+    for v in variants:
+        if v:
+            starts.add(v[0])
+            ends.add(v[-1])
+            edges.update(zip(v, v[1:]))
+    return edges, starts, ends
 
 
 def dfg_to_dot(g: DFG, name: str = "dfg") -> str:
@@ -279,7 +301,7 @@ def read_csv_log(source) -> EventLog:
     events: dict[object, Event] = {}  # one Event per distinct key
     for key in {key for seq in variants for key in seq}:
         activity, *values = key if type(key) is tuple else (key,)
-        events[key] = Event(activity, tuple(sorted((k, v) for (k, _), v in zip(named, values) if v)))
+        events[key] = Event(activity, ((k, v) for (k, _), v in zip(named, values) if v))
     log = EventLog()
     for seq, count in variants.items():
         log.add(tuple(map(events.__getitem__, seq)), count)

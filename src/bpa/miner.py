@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .logs import EventLog
+from .logs import EventLog, _dfg_edges
 from .trees import (
     KEYWORDS,
     MAX_TREE_DEPTH,
     ClassReport,
     ProcessTree,
+    _closure,
     _partition,
     leaf,
     node,
@@ -141,7 +142,7 @@ def _discover(
         rest = _discover([v for v in variants if v], audit, depth)
         return node("xor", tau(), rest)
 
-    edges, starts, ends = _dfg(variants)
+    edges, starts, ends = _dfg_edges(variants)
 
     parts = _choice_cut(alphabet, edges)
     if parts is not None:
@@ -152,7 +153,7 @@ def _discover(
             assigned[comp_of[v[0]]].append(v)
         return node("xor", *(_discover(assigned[p], audit, depth) for p in parts))
 
-    groups = _sequence_cut(alphabet, edges, audit)
+    groups = _sequence_cut(alphabet, edges)
     if groups is not None:
         audit.cuts_used.append("sequence")
         return node("seq", *(_discover(_project(variants, g), audit, depth) for g in groups))
@@ -173,17 +174,6 @@ def _discover(
     return node("loop", body, tau())
 
 
-def _dfg(variants):
-    edges: set[tuple[str, str]] = set()
-    starts: set[str] = set()
-    ends: set[str] = set()
-    for v in variants:
-        starts.add(v[0])
-        ends.add(v[-1])
-        edges.update(zip(v, v[1:]))
-    return edges, starts, ends
-
-
 def _project(variants, keep: frozenset[str]) -> list[tuple[str, ...]]:
     return [tuple(a for a in v if a in keep) for v in variants]
 
@@ -193,46 +183,31 @@ def _choice_cut(alphabet, edges) -> list[frozenset[str]] | None:
     return parts if len(parts) > 1 else None
 
 
-def _reachable(alphabet, edges) -> dict[str, set[str]]:
-    """The activities reachable from each activity over one or more edges."""
-    succ = {a: [] for a in alphabet}
+def _sequence_cut(alphabet, edges) -> list[frozenset[str]] | None:
+    pos = {a: i for i, a in enumerate(alphabet)}
+    succ = [0] * len(alphabet)
     for a, b in edges:
-        succ[a].append(b)
-    reach = {}
-    for a in alphabet:
-        seen: set[str] = set()
-        stack = list(succ[a])
-        while stack:
-            b = stack.pop()
-            if b not in seen:
-                seen.add(b)
-                stack.extend(succ[b])
-        reach[a] = seen
-    return reach
-
-
-def _sequence_cut(alphabet, edges, audit: DiscoveryAudit) -> list[frozenset[str]] | None:
-    reach = _reachable(alphabet, edges)
+        succ[pos[a]] |= 1 << pos[b]
+    # bitmasks of the activities each activity reaches over one or more edges
+    reach = [_closure(mask, succ.__getitem__, len(alphabet)) for mask in succ]
     # strongly connected and mutually unreachable activities share a group,
     # closed transitively
     groups = _partition(
         alphabet,
-        ((a, b) for a, b in combinations(alphabet, 2) if (b in reach[a]) == (a in reach[b])),
+        ((a, b) for a, b in combinations(alphabet, 2)
+         if (reach[pos[a]] >> pos[b] & 1) == (reach[pos[b]] >> pos[a] & 1)),
     )
     if len(groups) < 2:
         return None
 
-    # across two groups every activity pair is reachable in exactly one
-    # direction; the direction must be uniform, else there is no cut.  A
-    # uniform direction orders the groups totally, so the win counts differ.
-    wins = [0] * len(groups)
-    for gi, gj in combinations(range(len(groups)), 2):
-        dirs = {b in reach[a] for a in groups[gi] for b in groups[gj]}
-        if len(dirs) != 1:
-            audit.failures.append("sequence-cut: mixed directions between groups")
-            return None
-        wins[gi if dirs.pop() else gj] += 1
-    return [groups[i] for i in sorted(range(len(groups)), key=lambda i: -wins[i])]
+    # the groups are the summands of an ordinal sum (Gallai 1967): every pair
+    # across two groups points the same way, so a member of each group reaches
+    # fewer activities outside its group than a member of the group before
+    def reached_outside(group: frozenset[str]) -> int:
+        inside = sum(1 << pos[a] for a in group)
+        return (reach[pos[min(group)]] & ~inside).bit_count()
+
+    return sorted(groups, key=reached_outside, reverse=True)
 
 
 def _parallel_cut(alphabet, edges, starts, ends, audit: DiscoveryAudit) -> list[frozenset[str]] | None:

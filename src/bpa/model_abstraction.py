@@ -53,6 +53,7 @@ from .trees import (
     _IDENT_RE,
     ClassReport,
     ProcessTree,
+    _closure,
     _partition,
     activities,
     check_class,
@@ -430,19 +431,6 @@ def _decompose(vertices: frozenset[str], edges: set[tuple[str, str]]) -> MDTNode
         children.append(child)
         free &= ~child
     return MDTNode(vertices, "primitive", tuple(_decompose(_members(vs, m), edges) for m in children))
-
-
-def _closure(mask: int, grow, n: int) -> int:
-    """The least superset of ``mask`` that ``grow`` adds nothing to:
-    ``grow(i)`` is the bitmask member ``i`` brings in, and ``n`` the number
-    of vertices, whose full mask ends the search early."""
-    full, todo = (1 << n) - 1, mask
-    while todo and mask != full:
-        i = (todo & -todo).bit_length() - 1
-        more = grow(i) & ~mask
-        mask |= more
-        todo = (todo | more) & ~(1 << i)
-    return mask
 
 
 def _members(vs: list[str], mask: int) -> frozenset[str]:

@@ -368,7 +368,7 @@ def _shrink(instance: Instance, budget: int = 60) -> Instance:
                     and report.applicability.in_class
                     and report.isomorphic is not True
                 )
-            except Exception:
+            except (LogSizeError, ValueError):  # too large a log, or a class check
                 still_failing = False
             if still_failing:
                 best = candidate

@@ -229,6 +229,19 @@ def _partition(items: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[f
     return sorted({id(c): frozenset(c) for c in cls.values()}.values(), key=min)
 
 
+def _closure(mask: int, grow, n: int) -> int:
+    """The least superset of ``mask`` that ``grow`` adds nothing to:
+    ``grow(i)`` is the bitmask member ``i`` brings in, and ``n`` the number
+    of vertices, whose full mask ends the search early."""
+    full, todo = (1 << n) - 1, mask
+    while todo and mask != full:
+        i = (todo & -todo).bit_length() - 1
+        more = grow(i) & ~mask
+        mask |= more
+        todo = (todo | more) & ~(1 << i)
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # Class checks
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from conftest import CLAIMS_ABSTRACT, CLAIMS_GROUPS, CLAIMS_MODEL, build_claims_
 from test_pipeline import record_calls
 from test_trees import nested
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
 
 @pytest.fixture()
 def claims_files(tmp_path):
@@ -93,6 +95,15 @@ def test_discover_dot_output(tmp_path, capsys):
     assert "→" in out  # sequence operator node
 
 
+def test_discover_reports_the_detectors_of_a_flower(tmp_path, capsys):
+    path = tmp_path / "log.txt"
+    path.write_text("a,b,c,a\nb,c,a,b\n")
+    assert main(["discover", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.out == "loop(xor(a,b,c),tau)\n"
+    assert "detected: tau-loop, activity-once-per-trace, activity-concurrent\n" in out.err
+
+
 def test_profile_matrix(capsys):
     assert main(["profile", "seq(a,xor(b,c))"]) == 0
     out = capsys.readouterr().out
@@ -103,6 +114,21 @@ def test_profile_matrix(capsys):
 def test_profile_csv_format(capsys):
     assert main(["profile", "seq(a,b)", "--format", "csv"]) == 0
     assert "a,+,->" in capsys.readouterr().out
+
+
+def test_profile_dot_format(capsys):
+    assert main(["profile", "seq(a,xor(b,c))", "--format", "dot"]) == 0
+    assert capsys.readouterr().out == (
+        "digraph order_relations {\n"
+        '  n0 [label="a", shape=box];\n'
+        '  n1 [label="b", shape=box];\n'
+        '  n2 [label="c", shape=box];\n'
+        "  n0 -> n1;\n"
+        "  n0 -> n2;\n"
+        "  n1 -> n2;\n"
+        "  n2 -> n1;\n"
+        "}\n"
+    )
 
 
 def test_minlog_counts_and_output(capsys):
@@ -162,6 +188,32 @@ def test_abstract_log_csv_format(claims_files, capsys):
     out = capsys.readouterr().out
     header = out.splitlines()[0]
     assert header == "case,activity,concrete,transposed"
+
+
+def test_abstract_log_dot_format(capsys):
+    # the directly-follows graph of the abstracted orders log
+    assert main(["abstract-log", str(FIXTURES / "orders_log.txt"),
+                 str(FIXTURES / "orders_agg.json"), "--format", "dot"]) == 0
+    assert capsys.readouterr().out == (
+        "digraph dfg {\n"
+        "  rankdir=LR;\n"
+        '  n0 [label="CT", shape=box];\n'
+        '  n1 [label="DQ", shape=box];\n'
+        '  n2 [label="N", shape=box];\n'
+        '  n3 [label="OT", shape=box];\n'
+        '  n4 [label="RQ", shape=box];\n'
+        '  n5 [label="▷", shape=doublecircle];\n'
+        '  n6 [label="◁", shape=doublecircle];\n'
+        "  n0 -> n6;\n"
+        "  n1 -> n6;\n"
+        "  n2 -> n0;\n"
+        "  n2 -> n2;\n"
+        "  n3 -> n2;\n"
+        "  n4 -> n1;\n"
+        "  n4 -> n3;\n"
+        "  n5 -> n4;\n"
+        "}\n"
+    )
 
 
 def test_abstract_log_gate_failure(tmp_path, capsys):
@@ -254,6 +306,19 @@ def test_roundtrip_applicability_gate(tmp_path, capsys):
     out = capsys.readouterr()
     assert "applicable: no" in out.out
     assert "[aggregation-union]" in out.err
+
+
+def test_roundtrip_matching_failure(tmp_path, capsys):
+    # the abstract-log case above, through the whole round trip
+    log = tmp_path / "log.txt"
+    log.write_text(format_compact(minimal_log(parse_tree("xor(a9,and(a5,a6,a7))"))))
+    agg = tmp_path / "agg.json"
+    agg.write_text(json.dumps({"w_t": "2/3", "X1": ["a5", "a7", "a9"]}))
+    assert main(["roundtrip", str(log), str(agg)]) == 2
+    out = capsys.readouterr()
+    assert "abstracted model (3 nodes): and(X1,a6)" in out.out
+    assert "rediscovered" not in out.out
+    assert "trace matching failed: no reference trace with activities {X1:1}" in out.err
 
 
 def test_verify_summary_line(capsys):

@@ -122,6 +122,14 @@ def test_a_variant_is_its_event_sequence_and_control_flow_views_merge():
     assert format_compact(log) == "x4 a,b\n"
 
 
+def test_attribute_order_never_splits_a_variant():
+    log = EventLog()
+    log.add([Event("a", (("k", "1"), ("c", "2")))])
+    log.add([Event("a", (("c", "2"), ("k", "1")))])
+    assert log.variants() == [((Event("a", (("c", "2"), ("k", "1"))),), 2)]
+    assert Event("a", (("k", "1"), ("c", "2"))).attrs == (("c", "2"), ("k", "1"))
+
+
 def test_union_merges_counts():
     a = EventLog([("a",)])
     b = EventLog([("a",), ("b",)])

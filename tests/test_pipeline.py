@@ -357,6 +357,29 @@ def test_shrinking_stays_in_the_restricted_class():
     assert report.isomorphic is not True
 
 
+def test_shrinking_skips_a_candidate_only_on_the_errors_its_round_trip_raises(monkeypatch):
+    # with one group of three, seed 1 passes the gate and fails its round trip
+    base = GenParams(agg_group_count=1, agg_group_size=3)
+    tried = []
+
+    def raising(error):
+        def candidate_roundtrip(log, spec):
+            tried.append(spec)
+            raise error("raised by a candidate")
+        return candidate_roundtrip
+
+    for error in (LogSizeError, ValueError):
+        tried.clear()
+        monkeypatch.setattr(pipeline, "roundtrip", raising(error))
+        [failure] = verify(1, seed=1, base=base).failures
+        assert failure.shrunk_model is None and len(tried) > 1  # every candidate skipped
+
+    # any other error is a bug, not a candidate that stops failing
+    monkeypatch.setattr(pipeline, "roundtrip", raising(TypeError))
+    with pytest.raises(TypeError, match="raised by a candidate"):
+        verify(1, seed=1, base=base)
+
+
 def test_count_check_refuses_minimal_logs_over_the_trace_cap():
     from bpa.pipeline import _counts_match
 
