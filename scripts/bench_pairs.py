@@ -24,10 +24,11 @@ The summary gives, per workload and end-to-end metric, each side's
 quartiles (``statistics.quantiles(n=4, method='inclusive')``), the ratio of
 the medians (``change_over_parent``), in how many pairs the change read
 better, by the direction ``BENCHMARK.json`` declares, whether that is a
-gain (``gain_rule_met``: better in at least 9 of 10 pairs, medians apart by
-more than the parent's quartile spread) and whether it is a regression
-beyond the declared ``bound`` (``regression``: ``worse``, ``unresolved`` or
-``none``); per traced pair, both sides' per-layer values.
+gain (``gain_rule_met``: at least ten pairs, better in at least 9 of 10,
+medians apart by more than the parent's quartile spread; false below ten
+pairs) and whether it is a regression beyond the declared ``bound``
+(``regression``: ``worse``, ``unresolved`` or ``none``); per traced pair,
+both sides' per-layer values.
 """
 from __future__ import annotations
 
@@ -75,14 +76,14 @@ def quartiles(values: list[float]) -> dict:
 def summarize(pairs: list[tuple[dict, dict]], declared: dict[str, dict]) -> dict:
     """Quartiles, median ratio, pairs won, the gain rule and the regression
     verdict per end-to-end metric, each declared with its ``better``
-    direction and ``bound``.  The gain rule is met when the change is better
-    in at least 9 of 10 pairs (a tie counts for neither side) and its median
-    is better than the parent's by more than the parent's q3 - q1.  The
-    regression is ``worse`` when the change's median is worse than the
-    parent's by more than ``bound`` times the parent's median, else
-    ``unresolved`` when the parent's q3 - q1 exceeds ``bound`` times its
-    median and some change run does not beat every parent run, else
-    ``none``."""
+    direction and ``bound``.  The gain rule is met when at least ten pairs
+    ran, the change is better in at least 9 of 10 of them (a tie counts for
+    neither side) and its median is better than the parent's by more than
+    the parent's q3 - q1.  The regression is ``worse`` when the change's
+    median is worse than the parent's by more than ``bound`` times the
+    parent's median, else ``unresolved`` when the parent's q3 - q1 exceeds
+    ``bound`` times its median and some change run does not beat every
+    parent run, else ``none``."""
     out: dict = {}
     for metric, spec in declared.items():
         if metric not in pairs[0][0]["metrics"]:
@@ -108,7 +109,10 @@ def summarize(pairs: list[tuple[dict, dict]], declared: dict[str, dict]) -> dict
                 round(c_side["median"] / p_side["median"], 3) if p_side["median"] else None
             ),
             "change_better_in_pairs": f"{won}/{len(pairs)}",
-            "gain_rule_met": 10 * won >= 9 * len(pairs) and gap > p_side["q3"] - p_side["q1"],
+            "gain_rule_met": (
+                len(pairs) >= 10 and 10 * won >= 9 * len(pairs)
+                and gap > p_side["q3"] - p_side["q1"]
+            ),
             "regression": regression,
         }
     out["error_rate"] = {

@@ -33,7 +33,7 @@ TAU_SYMBOL = "τ"
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
 
-#: Deepest operator nesting :func:`parse_tree` accepts.  The tree functions
+#: Deepest operator nesting :func:`parse_tree` accepts.  Most tree functions
 #: recurse once per level, using up to four stack frames each: at the
 #: default recursion limit of 1000 and called from a shallow stack,
 #: ``render_tree``, ``canonical`` and synthesis fail on chains of about 330
@@ -173,9 +173,7 @@ def parse_tree(text: str) -> ProcessTree:
             if len(children) < 2:
                 raise TreeSyntaxError(f"operator '{word}' needs >= 2 children", p)
             return ProcessTree(word, tuple(children)), p
-        if word == TAU:
-            return ProcessTree(TAU), p
-        return ProcessTree(word), p
+        return ProcessTree(word), p  # an activity or tau
 
     tree, pos = parse_node(pos, 0)
     pos = skip_ws(pos)
@@ -253,52 +251,46 @@ def check_class(tree: ProcessTree, which: str = "C_c") -> ClassReport:
     loop node is exactly ``loop(v, tau)`` (rule ``loop-shape``).  ``C_a``
     additionally forbids tau leaves outside self-loop nodes (rule
     ``tau-outside-self-loop``).  Violations are listed rule by rule, in that
-    order, and within a rule in pre-order.
+    order, and within a rule in pre-order.  One iterative pass checks any
+    depth; paths are ``(parent link, child index)`` links, rendered on a violation.
     """
     if which not in ("C_c", "C_a"):
         raise ValueError(f"unknown tree class: {which!r}")
-    if _in_class(tree, which == "C_a"):
-        return ClassReport(in_class=True)
-    duplicates, loops, taus = [], [], []
-    seen: dict[str, str] = {}
-    sanctioned: set[str] = set()  # paths of self-loop taus; subtrees may be shared
-    for path, t in walk(tree):
-        if t.is_self_loop:
-            sanctioned.add(f"{path}.1".lstrip("."))
-        elif t.label == "loop":
-            loops.append(("loop-shape", path, "loop node is not of the form loop(v,tau)"))
-        elif t.is_tau:
-            if which == "C_a" and path not in sanctioned:
-                taus.append(("tau-outside-self-loop", path, "tau leaf outside a self-loop"))
-        elif t.label in seen:
-            message = f"activity '{t.label}' already used at '{seen[t.label]}'"
-            duplicates.append(("duplicate-activity", path, message))
-        elif t.is_activity:
-            seen[t.label] = path
-    return ClassReport.from_violations(duplicates + loops + taus)
-
-
-def _in_class(tree: ProcessTree, tau_only_in_self_loops: bool) -> bool:
-    """Whether :func:`check_class` finds no violation, in one pass that
-    builds no paths."""
-    seen: set[str] = set()
-    stack = [tree]
+    duplicates, loops, taus, first = [], [], [], {}
+    stack = [(None, enumerate((tree,)))]  # (parent link, children left); root's is None
     while stack:
-        t = stack.pop()
-        if t.label == "loop":
-            if not t.is_self_loop:
-                return False
-            t = t.children[0]  # its tau is the sanctioned one
-        elif t.children:
-            stack.extend(t.children)
-            continue
-        if t.label == TAU:
-            if tau_only_in_self_loops:
-                return False
-        elif t.label in seen:
-            return False
-        seen.add(t.label)
-    return True
+        parent, children = stack[-1]
+        for i, t in children:
+            link = (parent, i)
+            if t.children:
+                if not t.is_self_loop:
+                    if t.label == "loop":
+                        loops.append(("loop-shape", link, "loop node is not of the form loop(v,tau)"))
+                    stack.append((link, enumerate(t.children)))
+                    break  # pre-order: this subtree before the next sibling
+                t, link = t.children[0], (link, 0)  # its tau is the sanctioned one
+            if t.label != TAU:
+                at = first.setdefault(t.label, link)
+                if at is not link:
+                    message = f"activity '{t.label}' already used at '{_dotted(at)}'"
+                    duplicates.append(("duplicate-activity", link, message))
+            elif which == "C_a":
+                taus.append(("tau-outside-self-loop", link, "tau leaf outside a self-loop"))
+        else:
+            stack.pop()
+    violations = duplicates + loops + taus
+    if not violations:
+        return ClassReport(in_class=True)
+    return ClassReport.from_violations((r, _dotted(link), m) for r, link, m in violations)
+
+
+def _dotted(link: tuple) -> str:
+    """The dotted child-index path a :func:`check_class` link stands for."""
+    indices = []
+    while link[0] is not None:
+        link, i = link
+        indices.append(str(i))
+    return ".".join(reversed(indices))
 
 
 class ClassViolationError(ValueError):
@@ -340,14 +332,10 @@ def normal_form(tree: ProcessTree) -> ProcessTree:
             flat.append(c)
     if tree.label == "xor" and len({frozenset(activities(c)) for c in flat}) < len(flat):
         # isomorphic branches share their activities; only then are keys needed
-        seen: set[str] = set()
-        unique = []
+        unique: dict[str, ProcessTree] = {}  # the first branch of each key
         for c in flat:
-            key = render_tree(canonical(c))
-            if key not in seen:
-                seen.add(key)
-                unique.append(c)
-        flat = unique
+            unique.setdefault(render_tree(canonical(c)), c)
+        flat = list(unique.values())
     if len(flat) == 1:
         return flat[0]
     return ProcessTree(tree.label, tuple(flat))

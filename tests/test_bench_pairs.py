@@ -45,6 +45,13 @@ def test_gain_rule_not_met(change, why):
     assert summary(PARENT, change)["gain_rule_met"] is False, why
 
 
+def test_gain_rule_needs_ten_pairs():
+    # three pairs, each won by 50 against a parent spread of 1
+    got = summary([100, 101, 102], [150, 151, 152])
+    assert got["change_better_in_pairs"] == "3/3"
+    assert got["gain_rule_met"] is False
+
+
 def test_gain_rule_follows_the_declared_direction():
     faster = [p - 10 for p in PARENT]
     assert summary(PARENT, faster, better="lower")["gain_rule_met"] is True

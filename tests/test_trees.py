@@ -290,8 +290,18 @@ def shared_tau_tree() -> ProcessTree:
     return node("xor", node("loop", leaf("a"), shared), shared)
 
 
+def shared_loop_tree() -> ProcessTree:
+    """``seq(L,b,L)`` with one ``loop(a,tau)`` object as both ``L``."""
+    shared = node("loop", leaf("a"), tau())
+    return node("seq", shared, leaf("b"), shared)
+
+
 @given(unrestricted | trees)
 @example(shared_tau_tree())
+@example(parse_tree("loop(tau,a)"))
+@example(parse_tree("loop(a,tau,tau)"))
+@example(parse_tree("loop(seq(a,tau),a)"))
+@example(shared_loop_tree())
 @settings(max_examples=200)
 def test_class_checks_match_the_path_annotated_oracle(tree):
     for which in ("C_c", "C_a"):
@@ -301,6 +311,21 @@ def test_class_checks_match_the_path_annotated_oracle(tree):
 def test_a_tau_shared_with_a_self_loop_is_reported_outside_it():
     report = check_class(shared_tau_tree(), "C_a")
     assert [(r, p) for r, p, _ in report.violations] == [("tau-outside-self-loop", "1")]
+
+
+def test_class_checks_work_at_any_depth():
+    # seq(a0, seq(a1, ... seq(a1999, a0))): far deeper than the recursion limit
+    depth = 2_000
+    tree = node("seq", leaf(f"a{depth - 1}"), leaf("a0"))
+    for k in range(depth - 2, -1, -1):
+        tree = node("seq", leaf(f"a{k}"), tree)
+    report = check_class(tree, "C_c")
+    path = ".".join(["1"] * depth)
+    assert report.violations == (
+        ("duplicate-activity", path, "activity 'a0' already used at '0'"),
+    )
+    with pytest.raises(ClassViolationError):
+        require_class(tree, "C_c")
 
 
 def test_require_class_raises_with_report():
