@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-import networkx as nx
-
 from .logs import Event, EventLog, Trace, trace_activities
 from .miner import discover
 from .model_abstraction import AggSpec, Abstraction, InapplicableError, plan
@@ -151,15 +149,27 @@ def _outcomes(abstraction: Abstraction, cover, acts: frozenset[str]) -> dict[str
 
 def choice_sets(abstraction: Abstraction) -> list[tuple[str, ...]]:
     """Maximal sets of pairwise choice-related abstract activities (new
-    names only); their members must not co-occur in any abstracted trace."""
-    new = abstraction.new_names
-    g = nx.Graph()
-    g.add_nodes_from(new)
-    for x in new:
-        for y in new:
-            if x < y and abstraction.profile.relation(x, y) == CHOICE:
-                g.add_edge(x, y)
-    cliques = [tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) >= 2]
+    names only); their members must not co-occur in any abstracted trace.
+
+    They are the maximal cliques of two or more vertices of the choice
+    graph, found by Bron–Kerbosch with Tomita pivoting (Tomita, Tanaka &
+    Takahashi, TCS 2006) on an explicit stack of (clique, candidates,
+    excluded) frames."""
+    new, relation = abstraction.new_names, abstraction.profile.relation
+    adj = {x: {y for y in new if y != x and relation(x, y) == CHOICE} for x in new}
+    cliques = []
+    stack = [((), set(new), set())]
+    while stack:
+        clique, cand, excl = stack.pop()
+        if not cand:
+            if not excl and len(clique) >= 2:
+                cliques.append(tuple(sorted(clique)))
+            continue
+        pivot = max(cand | excl, key=lambda u: len(adj[u] & cand))
+        for v in cand - adj[pivot]:
+            stack.append((clique + (v,), cand & adj[v], excl & adj[v]))
+            cand.discard(v)
+            excl.add(v)
     return sorted(cliques)
 
 

@@ -17,9 +17,10 @@ of every activity and searches each pair's lowest common ancestor, and
 log and one more loop unrolling (``enumerate_language``).
 
 The graph side: ``bpa`` partitions activity sets with a small union of
-classes and reads the sequence cut off per-activity reachability sets.  The
-networkx versions here are the cuts and components as first written: on
-graphs, condensations and union-finds.
+classes, reads the sequence cut off per-activity reachability sets and
+finds choice sets by Bron–Kerbosch on an explicit stack.  The networkx
+versions here are the cuts, components and maximal cliques as first
+written: on graphs, condensations, union-finds and ``find_cliques``.
 
 The log side: ``bpa`` reads, abstracts and writes logs per variant, with
 multiplicities.  The functions here do the same work one trace at a time,
@@ -62,7 +63,6 @@ from bpa.event_abstraction import (
     MatchingError,
     KendallResult,
     _slot_permutation,
-    choice_sets,
     even_split_sizes,
     kendall_distance,
 )
@@ -383,7 +383,7 @@ def weak_order_oracle(model: ProcessTree, trace_cap: int = 2000) -> BehavioralPr
 
 
 # ---------------------------------------------------------------------------
-# Cuts and components on networkx
+# Cuts, components and cliques on networkx
 # ---------------------------------------------------------------------------
 
 def choice_cut(alphabet, edges) -> list[frozenset[str]] | None:
@@ -469,6 +469,20 @@ def components(vertices: frozenset[str], adjacent) -> list[frozenset[str]]:
             if adjacent(a, b):
                 g.add_edge(a, b)
     return sorted((frozenset(c) for c in nx.connected_components(g)), key=min)
+
+
+def choice_sets(abstraction: Abstraction) -> list[tuple[str, ...]]:
+    """Maximal sets of pairwise choice-related abstract activities (new
+    names only); their members must not co-occur in any abstracted trace."""
+    new = abstraction.new_names
+    g = nx.Graph()
+    g.add_nodes_from(new)
+    for x in new:
+        for y in new:
+            if x < y and abstraction.profile.relation(x, y) == CHOICE:
+                g.add_edge(x, y)
+    cliques = [tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) >= 2]
+    return sorted(cliques)
 
 
 # ---------------------------------------------------------------------------

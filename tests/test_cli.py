@@ -582,6 +582,21 @@ def test_out_files_are_utf8_whatever_the_locale(tmp_path, to_files):
     assert "\u2192" in out.decode("utf-8")
 
 
+def test_the_cli_runs_without_networkx():
+    # networkx is only a test dependency, the oracle for cuts, components
+    # and cliques: importing bpa and running its commands must not load it
+    script = (
+        "import sys, bpa, bpa.cli\n"
+        "assert bpa.cli.main(['discover', 'fixtures/claims_log.txt']) == 0\n"
+        "assert bpa.cli.main(['abstract-log', 'fixtures/orders_log.txt', 'fixtures/orders_agg.json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'networkx'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], cwd=FIXTURES.parent,
+                          env=subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("command", sorted(FLAGS_READ))
 def test_subcommands_accept_the_flags_they_read(tmp_path, claims_files, capsys, command):
     log_path, agg_path = claims_files

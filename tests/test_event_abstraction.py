@@ -1,11 +1,14 @@
 """Synchronized event-log abstraction: Kendall witnesses, stage one
 (per-trace aggregation), and stage two (redistribution over the reference
 log)."""
+import inspect
+import sys
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpa import make_spec
@@ -22,7 +25,8 @@ from bpa.event_abstraction import (
     kendall_distance,
 )
 from bpa.logs import Event, EventLog, log_from_sequences
-from bpa.model_abstraction import InapplicableError, plan
+from bpa.model_abstraction import Abstraction, InapplicableError, plan
+from bpa.profiles import CHOICE, PARALLEL, profile_from_function
 from bpa.semantics import minimal_log
 from bpa.trees import parse_tree
 from conftest import (
@@ -32,6 +36,7 @@ from conftest import (
     ORDERS_TRACES,
     build_claims_log,
 )
+import oracles
 from oracles import _transpose_to, apply_transpositions, inversions, quotient
 
 
@@ -266,6 +271,56 @@ def test_choice_sets_on_the_worked_example(claims_ctx):
 
 def test_choice_sets_cover_exclusive_aggregations(xor_ctx):
     assert choice_sets(xor_ctx) == [("X", "Y")]
+
+
+def choice_graph(names, edges) -> Abstraction:
+    """An abstraction whose new names ``names`` are choice-related along
+    ``edges`` and parallel otherwise.  The kept activity ``k`` is
+    choice-related with every name; it is not new, so it joins no set."""
+    choice = {frozenset(e) for e in edges}
+
+    def rel(x, y):
+        return CHOICE if (x != y and "k" in (x, y)) or frozenset((x, y)) in choice else PARALLEL
+
+    profile = profile_from_function([*names, "k"], rel)
+    return Abstraction(spec=None, report=None, new_names=frozenset(names), profile=profile)
+
+
+@st.composite
+def choice_graphs(draw):
+    names = [f"X{i}" for i in range(draw(st.integers(0, 8)))]
+    pairs = list(combinations(names, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return names, [p for p, k in zip(pairs, keep) if k]
+
+
+K5 = ["A", "B", "C", "D", "E"]
+
+
+@given(choice_graphs())
+@example(([], []))
+@example((["X", "Y"], [("X", "Y")]))
+@example((["X", "Y", "Z"], [("X", "Y"), ("Y", "Z")]))  # two sets sharing Y
+@example((K5, list(combinations(K5, 2))))
+@example((["A", "B", "C", "D", "E", "F"], [*combinations("ABC", 2), *combinations("DEF", 2)]))
+@settings(max_examples=300, deadline=None)
+def test_choice_sets_match_the_networkx_oracle(graph):
+    abstraction = choice_graph(*graph)
+    assert choice_sets(abstraction) == oracles.choice_sets(abstraction)
+
+
+def test_choice_sets_do_not_recurse():
+    # a clique of 60 names under a recursion limit 20 frames above the
+    # caller: a search that recursed once per member could not finish
+    names = [f"X{i:02}" for i in range(60)]
+    abstraction = choice_graph(names, combinations(names, 2))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+    try:
+        got = choice_sets(abstraction)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [tuple(names)]
 
 
 def test_round_robin_deletion_alternates_the_keeper(xor_ctx):

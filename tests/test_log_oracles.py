@@ -121,6 +121,8 @@ def overlap():
 def test_crafted_choice_sets(disjoint, overlap):
     assert choice_sets(disjoint) == [("U", "V", "W"), ("X", "Y")]
     assert choice_sets(overlap) == [("X", "Y"), ("Y", "Z")]
+    for abstraction in (disjoint, overlap):
+        assert choice_sets(abstraction) == oracles.choice_sets(abstraction)
 
 
 def test_runs_not_a_multiple_of_the_period_match_the_oracle(disjoint):
