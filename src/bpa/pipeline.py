@@ -6,17 +6,18 @@ applicability of the aggregation (a hard gate), abstract the model,
 abstract the log in sync, rediscover from the abstracted log, and compare
 the rediscovered tree with the abstracted model up to isomorphism.
 
-``verify`` repeats this over randomly generated instances and additionally
-checks two invariants per instance: the abstracted model realizes exactly
-the derived abstract profile, and the predicted trace count and lengths of
-its minimal log match the actual minimal log.  A failed check fails the
-instance; failed round trips are shrunk to smaller counterexamples.
+``check_instances`` runs the chain on instances from any source, each with
+its restriction audit and plan, and checks two more invariants: the
+abstracted model realizes the derived abstract profile exactly, and its
+minimal log has the predicted trace count and lengths.  Any failed check
+fails the instance.  ``verify`` feeds it randomly generated instances.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from collections import Counter
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 
 from .event_abstraction import MatchingError, ea1, ea2
 from .logs import EventLog
@@ -127,15 +128,20 @@ class GenParams:
 
 @dataclass(frozen=True)
 class Instance:
-    """A generated model, log and aggregation, with the generator's
-    restriction audit of the log and plan of the audited tree."""
+    """A model, its log and an aggregation, with the restriction audit of
+    the log and the plan of the audited tree; ``_instance`` makes it."""
 
     model: ProcessTree
     log: EventLog
     spec: AggSpec
     seed: int
-    check: RestrictionCheck | None = None
-    abstraction: Abstraction | None = None
+    check: RestrictionCheck
+    abstraction: Abstraction
+
+
+def _instance(model: ProcessTree, log: EventLog, spec: AggSpec, seed: int) -> Instance:
+    check = check_restricted(log)
+    return Instance(model, log, spec, seed, check, plan(check.tree, spec))
 
 
 def generate_instance(params: GenParams) -> Instance:
@@ -159,11 +165,9 @@ def generate_instance(params: GenParams) -> Instance:
         log = EventLog()
         for trace, n in minimal_log(tree, trace_cap=MAX_BASE_TRACES).variants():
             log.add(trace, n * rng.randint(1, 10))
-        check = check_restricted(log)
-        abstraction = plan(check.tree, spec)
-        if not (params.allow_unrestricted or check.restricted and abstraction.report.in_class):
-            continue
-        return Instance(tree, log, spec, params.seed, check, abstraction)
+        inst = _instance(tree, log, spec, params.seed)
+        if params.allow_unrestricted or inst.check.restricted and inst.abstraction.report.in_class:
+            return inst
     raise GenerationError(
         f"no viable instance after {MAX_ATTEMPTS} attempts (seed {params.seed})"
     )
@@ -270,9 +274,13 @@ def verify(
         base = replace(
             base, allow_unrestricted=True, agg_group_count=1, agg_group_size=2
         )
+    return check_instances(generate_instance(replace(base, seed=seed + i)) for i in range(n))
+
+
+def check_instances(instances: Iterable[Instance]) -> VerificationSummary:
+    """Round-trip each instance from its own audit and plan; shrink those out of sync."""
     summary = VerificationSummary()
-    for i in range(n):
-        instance = generate_instance(replace(base, seed=seed + i))
+    for instance in instances:
         report = _roundtrip(instance.log, instance.check, instance.abstraction)
         summary.instances += 1
         reasons = list(report.failures)
@@ -332,13 +340,16 @@ def _counts_match(abstract_model: ProcessTree) -> bool:
     )
 
 
+def _out_of_sync(report: RoundtripReport) -> bool:
+    """Passed the restriction audit and the gate, then went out of sync: the one
+    failure worth shrinking, since a gate refusal (the negative control) explains itself."""
+    return report.restricted and report.applicability.in_class and report.isomorphic is not True
+
+
 def _record_failure(
     instance: Instance, report: RoundtripReport, reasons: list[str]
 ) -> FailureRecord:
-    # shrink only round trips that passed the gate and failed, as _shrink's candidates
-    # must; an inapplicable instance (negative control) is its own explanation
-    failed = report.applicability.in_class and report.isomorphic is not True
-    shrunk = _shrink(instance) if failed else instance
+    shrunk = _shrink(instance) if _out_of_sync(report) else instance
     return FailureRecord(
         seed=instance.seed,
         model=render_tree(instance.model),
@@ -351,23 +362,18 @@ def _record_failure(
 
 def _shrink(instance: Instance, budget: int = 60) -> Instance:
     """Greedy reduction of a failing instance: drop subtrees, prune the
-    aggregation accordingly, and keep any candidate that is still in the
-    restricted class, passes the gate and fails."""
+    aggregation accordingly, and keep any candidate on its minimal log that
+    still goes out of sync the way ``check_instances`` sees it."""
     best = instance
     improved = True
     while improved and budget > 0:
         improved = False
-        for candidate in _shrink_candidates(best):
+        for model, spec in _shrink_candidates(best):
             budget -= 1
             try:
-                report = roundtrip(candidate.log, candidate.spec)
-                # a shrunk candidate must fail the same way: through the
-                # restriction audit and the gate, then out of sync
-                still_failing = (
-                    report.restricted
-                    and report.applicability.in_class
-                    and report.isomorphic is not True
-                )
+                candidate = _instance(model, minimal_log(model), spec, best.seed)
+                report = _roundtrip(candidate.log, candidate.check, candidate.abstraction)
+                still_failing = _out_of_sync(report)
             except (LogSizeError, ValueError):  # too large a log, or a class check
                 still_failing = False
             if still_failing:
@@ -390,14 +396,8 @@ def _shrink_candidates(instance: Instance):
             kept = frozenset(members & acts)
             if len(kept) >= 2:
                 groups[name] = kept
-        if not groups:
-            continue
-        spec = AggSpec(agg=groups, w_t=instance.spec.w_t)
-        try:
-            log = minimal_log(reduced)
-        except LogSizeError:
-            continue
-        yield Instance(model=reduced, log=log, spec=spec, seed=instance.seed)
+        if groups:
+            yield reduced, AggSpec(agg=groups, w_t=instance.spec.w_t)
 
 
 def _tree_reductions(tree: ProcessTree):

@@ -31,7 +31,6 @@ from bpa.model_abstraction import (
 from bpa.pipeline import (
     GenParams,
     GenerationError,
-    Instance,
     generate_instance,
     roundtrip,
     verify,
@@ -45,6 +44,7 @@ from conftest import (
     BOUNDARY_W_T,
     CLAIMS_ABSTRACT,
     CLAIMS_GROUPS,
+    ORDERS_DISCOVERED,
     ORDERS_GROUPS,
     ORDERS_TRACES,
     build_claims_log,
@@ -314,6 +314,50 @@ def test_verify_does_the_model_side_once_per_instance(monkeypatch):
         assert reordered and max(Counter(reordered).values()) == 1
 
 
+#: ``render_summary`` of two one-group-of-three instances from seed 1: the
+#: first fails stage two and is shrunk, the second round-trips
+SHRUNK_SUMMARY = """\
+FAIL seed=1: trace matching failed: no reference trace with activities {X1:1, a1:1, a3:2}
+  model: xor(seq(xor(a1,and(a8,a4,a0)),xor(a11,a10,a6),and(xor(loop(a3,tau),a5),a7)),a9)
+  agg:   {   "w_t": "5/9",   "X1": [     "a11",     "a5",     "a7"   ] }
+  shrunk model: seq(xor(a11,a6),and(a5,a7))
+  shrunk agg:   {   "w_t": "5/9",   "X1": [     "a11",     "a5",     "a7"   ] }
+2 instances: 1 isomorphic, 2 profile checks, 2 count checks, 1 failures"""
+
+
+def test_verify_summary_prints_the_shrunk_counterexample():
+    base = GenParams(agg_group_count=1, agg_group_size=3)
+    assert pipeline.render_summary(verify(2, seed=1, base=base)) == SHRUNK_SUMMARY
+
+
+def test_check_instances_takes_a_hand_built_source(monkeypatch):
+    # one instance that round-trips, and the generator's smallest failing case
+    orders = log_from_sequences(ORDERS_TRACES)
+    failing = parse_tree("xor(a9,and(a5,a6,a7))")
+    instances = [
+        pipeline._instance(
+            parse_tree(ORDERS_DISCOVERED), orders, make_spec(ORDERS_GROUPS, Fraction(5, 9)), 0
+        ),
+        pipeline._instance(
+            failing, minimal_log(failing), make_spec({"X1": ["a5", "a7", "a9"]}, Fraction(2, 3)), 1
+        ),
+    ]
+    audited = record_calls(monkeypatch, check_restricted)
+    planned = record_calls(monkeypatch, plan)
+    summary = pipeline.check_instances(instances)
+    assert pipeline.render_summary(summary).splitlines()[-1] == (
+        "2 instances: 1 isomorphic, 2 profile checks, 2 count checks, 1 failures"
+    )
+    [failure] = summary.failures
+    assert (failure.seed, failure.shrunk_model) == (1, None)
+    assert failure.reason == "trace matching failed: no reference trace with activities {X1:1}"
+    # each instance is checked on the audit and plan it carries; only the
+    # shrinker's candidates are audited and planned
+    assert audited and planned
+    assert not any(args[0] is inst.log for args in audited for inst in instances)
+    assert not any(args[1] is inst.spec for args in planned for inst in instances)
+
+
 def test_negative_control_fails_at_the_gate():
     summary = verify(3, seed=0, negative_control=True)
     assert summary.instances == 3
@@ -328,11 +372,8 @@ def test_shrinking_keeps_the_failure_and_never_grows():
     from bpa.pipeline import _shrink
 
     model = parse_tree(BOUNDARY_MODEL)
-    inst = Instance(
-        model=model,
-        log=minimal_log(model),
-        spec=make_spec(BOUNDARY_GROUPS, BOUNDARY_W_T),
-        seed=0,
+    inst = pipeline._instance(
+        model, minimal_log(model), make_spec(BOUNDARY_GROUPS, BOUNDARY_W_T), seed=0
     )
     shrunk = _shrink(inst)
     assert size(shrunk.model) <= size(inst.model)
@@ -359,25 +400,24 @@ def test_shrinking_stays_in_the_restricted_class():
 
 def test_shrinking_skips_a_candidate_only_on_the_errors_its_round_trip_raises(monkeypatch):
     # with one group of three, seed 1 passes the gate and fails its round trip
-    base = GenParams(agg_group_count=1, agg_group_size=3)
+    inst = generate_instance(GenParams(seed=1, agg_group_count=1, agg_group_size=3))
     tried = []
 
     def raising(error):
-        def candidate_roundtrip(log, spec):
-            tried.append(spec)
+        def candidate_roundtrip(log, check, abstraction):
+            tried.append(abstraction)
             raise error("raised by a candidate")
         return candidate_roundtrip
 
     for error in (LogSizeError, ValueError):
         tried.clear()
-        monkeypatch.setattr(pipeline, "roundtrip", raising(error))
-        [failure] = verify(1, seed=1, base=base).failures
-        assert failure.shrunk_model is None and len(tried) > 1  # every candidate skipped
+        monkeypatch.setattr(pipeline, "_roundtrip", raising(error))
+        assert pipeline._shrink(inst) is inst and len(tried) > 1  # every candidate skipped
 
     # any other error is a bug, not a candidate that stops failing
-    monkeypatch.setattr(pipeline, "roundtrip", raising(TypeError))
+    monkeypatch.setattr(pipeline, "_roundtrip", raising(TypeError))
     with pytest.raises(TypeError, match="raised by a candidate"):
-        verify(1, seed=1, base=base)
+        pipeline._shrink(inst)
 
 
 def test_count_check_refuses_minimal_logs_over_the_trace_cap():
