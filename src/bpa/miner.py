@@ -18,7 +18,6 @@ and sequence nodes with activity or self-loop children.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .logs import EventLog, _dfg_edges
 from .trees import (
@@ -26,8 +25,10 @@ from .trees import (
     MAX_TREE_DEPTH,
     ClassReport,
     ProcessTree,
+    _classes,
     _closure,
-    _partition,
+    _masks,
+    _members,
     leaf,
     node,
     normal_form,
@@ -179,42 +180,35 @@ def _project(variants, keep: frozenset[str]) -> list[tuple[str, ...]]:
 
 
 def _choice_cut(alphabet, edges) -> list[frozenset[str]] | None:
-    parts = _partition(alphabet, edges)
-    return parts if len(parts) > 1 else None
+    out, into = _masks(alphabet, edges)
+    parts = _classes((1 << len(alphabet)) - 1, lambda i: out[i] | into[i])
+    return [_members(alphabet, p) for p in parts] if len(parts) > 1 else None
 
 
 def _sequence_cut(alphabet, edges) -> list[frozenset[str]] | None:
-    pos = {a: i for i, a in enumerate(alphabet)}
-    succ = [0] * len(alphabet)
-    for a, b in edges:
-        succ[pos[a]] |= 1 << pos[b]
-    # bitmasks of the activities each activity reaches over one or more edges
-    reach = [_closure(mask, succ.__getitem__, len(alphabet)) for mask in succ]
+    succ, pred = _masks(alphabet, edges)
+    full = (1 << len(alphabet)) - 1
+    # bitmasks of the activities each activity reaches, and is reached from,
+    # over one or more edges
+    reach = [_closure(mask, succ.__getitem__, full) for mask in succ]
+    reached = [_closure(mask, pred.__getitem__, full) for mask in pred]
     # strongly connected and mutually unreachable activities share a group,
     # closed transitively
-    groups = _partition(
-        alphabet,
-        ((a, b) for a, b in combinations(alphabet, 2)
-         if (reach[pos[a]] >> pos[b] & 1) == (reach[pos[b]] >> pos[a] & 1)),
-    )
+    groups = _classes(full, lambda i: full & ~(reach[i] ^ reached[i]))
     if len(groups) < 2:
         return None
 
-    # the groups are the summands of an ordinal sum (Gallai 1967): every pair
-    # across two groups points the same way, so a member of each group reaches
-    # fewer activities outside its group than a member of the group before
-    def reached_outside(group: frozenset[str]) -> int:
-        inside = sum(1 << pos[a] for a in group)
-        return (reach[pos[min(group)]] & ~inside).bit_count()
-
-    return sorted(groups, key=reached_outside, reverse=True)
+    # the groups are the summands of an ordinal sum (Gallai 1967), so a group
+    # with all that one member reaches is the suffix the group starts, and
+    # each suffix holds the later ones
+    groups.sort(key=lambda g: reach[g.bit_length() - 1] | g, reverse=True)
+    return [_members(alphabet, g) for g in groups]
 
 
 def _parallel_cut(alphabet, edges, starts, ends, audit: DiscoveryAudit) -> list[frozenset[str]] | None:
-    parts = _partition(
-        alphabet,
-        ((a, b) for a, b in combinations(alphabet, 2) if (a, b) not in edges or (b, a) not in edges),
-    )
+    out, into = _masks(alphabet, edges)
+    full = (1 << len(alphabet)) - 1
+    parts = [_members(alphabet, p) for p in _classes(full, lambda i: full & ~(out[i] & into[i]))]
     if len(parts) < 2:
         return None
     valid = [p for p in parts if p & starts and p & ends]
@@ -223,13 +217,8 @@ def _parallel_cut(alphabet, edges, starts, ends, audit: DiscoveryAudit) -> list[
         return None
     if len(valid) < len(parts):
         # parts without a start or end activity cannot stand alone
-        merged = set(valid[0])
-        for p in parts:
-            if p not in valid:
-                merged |= p
-        parts = sorted(
-            [frozenset(merged) if p == valid[0] else p for p in valid], key=min
-        )
+        merged = valid[0].union(*(p for p in parts if p not in valid))
+        parts = sorted([merged, *valid[1:]], key=min)
     if len(parts) < 2:
         audit.failures.append("parallel-cut: merging start/end-less parts left one part")
         return None

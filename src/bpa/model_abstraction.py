@@ -34,7 +34,6 @@ import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .profiles import (
@@ -53,8 +52,10 @@ from .trees import (
     _IDENT_RE,
     ClassReport,
     ProcessTree,
+    _classes,
     _closure,
-    _partition,
+    _masks,
+    _members,
     activities,
     check_class,
     normal_form,
@@ -372,69 +373,55 @@ class MDTNode:
 def modular_decomposition(graph: OrderRelationsGraph) -> MDTNode:
     if not graph.vertices:
         raise ValueError("cannot decompose the empty graph")
-    edges = set(graph.edges)
-    return _decompose(frozenset(graph.vertices), edges)
+    vs = sorted(graph.vertices)
+    out, into = _masks(vs, graph.edges)
+    return _decompose(vs, out, into, (1 << len(vs)) - 1)
 
 
-def _components(vertices: frozenset[str], adjacent) -> list[frozenset[str]]:
-    return _partition(vertices, (p for p in combinations(sorted(vertices), 2) if adjacent(*p)))
-
-
-def _decompose(vertices: frozenset[str], edges: set[tuple[str, str]]) -> MDTNode:
-    """The node of ``vertices``: complete, linear or primitive, and its
-    children the maximal proper strong modules (Ehrenfeucht & Rozenberg's
+def _decompose(vs: list[str], out: list[int], into: list[int], sub: int) -> MDTNode:
+    """The node of ``sub``, a bitmask over the sorted vertices ``vs`` with
+    neighbour masks ``out`` and ``into``: complete, linear or primitive, and
+    its children the maximal proper strong modules (Ehrenfeucht & Rozenberg's
     prime decomposition of 2-structures), exact at every size."""
-    if len(vertices) == 1:
+    vertices = _members(vs, sub)
+    if not sub & (sub - 1):
         return MDTNode(vertices, "leaf")
 
-    def has_any(a: str, b: str) -> bool:
-        return (a, b) in edges or (b, a) in edges
+    def split(kind: str, parts: list[int]) -> MDTNode:
+        return MDTNode(vertices, kind, tuple(_decompose(vs, out, into, m) for m in parts))
 
-    def has_both(a: str, b: str) -> bool:
-        return (a, b) in edges and (b, a) in edges
-
-    comps = _components(vertices, has_any)
+    # the components of the graph, then those of the complement of its
+    # two-way edges
+    comps = _classes(sub, lambda i: (out[i] | into[i]) & sub)
     if len(comps) > 1:
-        return MDTNode(vertices, "and-complete", tuple(_decompose(c, edges) for c in comps))
-
-    comps = _components(vertices, lambda a, b: not has_both(a, b))
+        return split("and-complete", comps)
+    comps = _classes(sub, lambda i: sub & ~(out[i] & into[i]))
     if len(comps) > 1:
-        return MDTNode(vertices, "xor-complete", tuple(_decompose(c, edges) for c in comps))
-
-    # vertex sets as bitmasks over the sorted vertices
-    vs = sorted(vertices)
-    n = len(vs)
-    out = [sum(1 << j for j, u in enumerate(vs) if (v, u) in edges) for v in vs]
-    into = [sum(1 << j for j, u in enumerate(vs) if (u, v) in edges) for v in vs]
-    full = (1 << n) - 1
+        return split("xor-complete", comps)
 
     # the least prefix holding a vertex: add every vertex that is not a strict
     # successor of a member; the prefixes form a chain
-    not_after = [full & ~(out[i] & ~into[i]) for i in range(n)]
-    prefixes = sorted({_closure(1 << i, not_after.__getitem__, n) for i in range(n)})
+    members = [i for i in range(len(vs)) if sub >> i & 1]
+    not_after = {i: sub & ~(out[i] & ~into[i]) for i in members}
+    prefixes = sorted({_closure(1 << i, not_after.__getitem__, sub) for i in members})
     if len(prefixes) > 1:
-        parts = [b & ~a for a, b in zip([0, *prefixes], prefixes)]
-        return MDTNode(vertices, "linear", tuple(_decompose(_members(vs, m), edges) for m in parts))
+        return split("linear", [b & ~a for a, b in zip([0, *prefixes], prefixes)])
 
     # primitive: the child of v is v with every smallest module M(v, w)
     # short of the node, grown by the vertices that tell a member from v
-    children, free = [], full
+    children, free = [], sub
     while free:
         v = (free & -free).bit_length() - 1
-        splitters = [(into[i] ^ into[v]) | (out[i] ^ out[v]) for i in range(n)]
+        splitters = {i: sub & ((into[i] ^ into[v]) | (out[i] ^ out[v])) for i in members}
         child = 1 << v
-        for w in range(v + 1, n):
-            if (free & ~child) >> w & 1:
-                module = _closure(1 << v | 1 << w, splitters.__getitem__, n)
-                if module != full:
+        for w in members:
+            if w > v and (free & ~child) >> w & 1:
+                module = _closure(1 << v | 1 << w, splitters.__getitem__, sub)
+                if module != sub:
                     child |= module
         children.append(child)
         free &= ~child
-    return MDTNode(vertices, "primitive", tuple(_decompose(_members(vs, m), edges) for m in children))
-
-
-def _members(vs: list[str], mask: int) -> frozenset[str]:
-    return frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
+    return split("primitive", children)
 
 
 # ---------------------------------------------------------------------------

@@ -212,32 +212,46 @@ def walk(tree: ProcessTree, path: str = "") -> Iterator[tuple[str, ProcessTree]]
         yield from walk(c, f"{path}.{i}".lstrip("."))
 
 
-def _partition(items: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[frozenset[str]]:
-    """Classes of the smallest equivalence on ``items`` relating every one of
-    ``pairs``, ordered by least member."""
-    cls = {a: {a} for a in items}
-    for a, b in pairs:
-        ca, cb = cls[a], cls[b]
-        if ca is not cb:
-            if len(ca) < len(cb):
-                ca, cb = cb, ca
-            ca |= cb
-            for c in cb:
-                cls[c] = ca
-    return sorted({id(c): frozenset(c) for c in cls.values()}.values(), key=min)
+def _masks(names: list[str], edges: Iterable[tuple[str, str]]) -> tuple[list[int], list[int]]:
+    """The out- and in-neighbours of each of ``names`` as bitmasks, bit i for
+    ``names[i]``, so over sorted names a set's lowest bit is its least name;
+    an edge with an end outside ``names`` is left out."""
+    pos = {a: i for i, a in enumerate(names)}
+    out, into = [0] * len(names), [0] * len(names)
+    for a, b in edges:
+        if a in pos and b in pos:
+            out[pos[a]] |= 1 << pos[b]
+            into[pos[b]] |= 1 << pos[a]
+    return out, into
 
 
-def _closure(mask: int, grow, n: int) -> int:
+def _members(names: list[str], mask: int) -> frozenset[str]:
+    return frozenset(v for i, v in enumerate(names) if mask >> i & 1)
+
+
+def _closure(mask: int, grow, full: int) -> int:
     """The least superset of ``mask`` that ``grow`` adds nothing to:
-    ``grow(i)`` is the bitmask member ``i`` brings in, and ``n`` the number
-    of vertices, whose full mask ends the search early."""
-    full, todo = (1 << n) - 1, mask
+    ``grow(i)`` is the bitmask member ``i`` brings in, a subset of ``full``,
+    so reaching ``full`` ends the search early."""
+    todo = mask
     while todo and mask != full:
         i = (todo & -todo).bit_length() - 1
         more = grow(i) & ~mask
         mask |= more
         todo = (todo | more) & ~(1 << i)
     return mask
+
+
+def _classes(mask: int, grow) -> list[int]:
+    """The classes of the smallest equivalence on the members of ``mask``
+    holding every pair (i, j) with j in ``grow(i)``, ordered by least member;
+    ``grow`` is symmetric and keeps within ``mask``."""
+    classes = []
+    while mask:
+        cls = _closure(mask & -mask, grow, mask)
+        classes.append(cls)
+        mask &= ~cls
+    return classes
 
 
 # ---------------------------------------------------------------------------

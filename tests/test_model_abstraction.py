@@ -15,7 +15,6 @@ from bpa.model_abstraction import (
     AggSpec,
     InapplicableError,
     MDTNode,
-    _components,
     RelationWeights,
     applicable,
     derive_ordering_relation,
@@ -43,7 +42,7 @@ from bpa.profiles import (
     profile_from_function,
 )
 from bpa.semantics import LogSizeError, minimal_log
-from bpa.trees import activities, isomorphic, parse_tree, render_tree, size
+from bpa.trees import _classes, _masks, _members, activities, isomorphic, parse_tree, render_tree, size
 from conftest import (
     CLAIMS_ABSTRACT,
     CLAIMS_GROUPS,
@@ -471,6 +470,14 @@ def test_mdt_rejects_empty_graph():
         modular_decomposition(OrderRelationsGraph(frozenset(), frozenset()))
 
 
+def test_mdt_ignores_edges_leaving_the_vertex_set():
+    from bpa.profiles import OrderRelationsGraph
+
+    mdt = modular_decomposition(OrderRelationsGraph(frozenset("ab"), frozenset({("a", "b"), ("a", "z")})))
+    assert mdt.kind == "linear"
+    assert [c.members for c in mdt.children] == [frozenset("a"), frozenset("b")]
+
+
 def brute_force_strong_modules(graph) -> set[frozenset[str]]:
     """All strong modules by subset enumeration (exponential; oracle only)."""
     vs = sorted(graph.vertices)
@@ -566,12 +573,42 @@ def test_mdt_is_exact_above_sixteen_vertices():
     }
 
 
+#: the kind of a node whose quotient has only no edges, only two-way edges or
+#: only forward edges; any other quotient is primitive
+QUOTIENT_KINDS = {
+    frozenset({(False, False)}): "and-complete",
+    frozenset({(True, True)}): "xor-complete",
+    frozenset({(True, False)}): "linear",
+}
+
+
+@given(st.builds(random_profile, st.randoms(use_true_random=False)))
+@settings(max_examples=80, deadline=None)
+def test_mdt_kinds_and_linear_order_match_the_quotient(profile):
+    # children are modules, so one member speaks for each: the edges between
+    # representatives are the quotient graph the kind describes
+    graph = order_relations_graph(profile)
+    edges = graph.edges
+    for node in modular_decomposition(graph).iter_nodes():
+        if not node.children:
+            continue
+        reps = [min(c.members) for c in node.children]
+        # in child order: a linear node's edges all point forward
+        pairs = frozenset(((a, b) in edges, (b, a) in edges) for a, b in combinations(reps, 2))
+        assert node.kind == QUOTIENT_KINDS.get(pairs, "primitive")
+        assert node.kind != "primitive" or len(reps) >= 3  # a directed 3-cycle is prime
+
+
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_components_match_the_networkx_oracle(rng):
-    # the three partitions the decomposition takes, on random graphs
+    # the three partitions the decomposition and the cuts take, on random
+    # graphs, as classes of neighbour-bitmask relations
     edges = order_relations_graph(random_profile(rng)).edges
     vertices = frozenset(v for e in edges for v in e) or frozenset({"v0"})
+    vs = sorted(vertices)
+    out, into = _masks(vs, edges)
+    full = (1 << len(vs)) - 1
 
     def has_any(a, b):
         return (a, b) in edges or (b, a) in edges
@@ -579,8 +616,14 @@ def test_components_match_the_networkx_oracle(rng):
     def has_both(a, b):
         return (a, b) in edges and (b, a) in edges
 
-    for adjacent in (has_any, lambda a, b: not has_both(a, b), lambda a, b: has_any(a, b) == has_both(a, b)):
-        assert _components(vertices, adjacent) == oracles.components(vertices, adjacent)
+    relations = (
+        (has_any, lambda i: out[i] | into[i]),
+        (lambda a, b: not has_both(a, b), lambda i: full & ~(out[i] & into[i])),
+        (lambda a, b: has_any(a, b) == has_both(a, b), lambda i: full & ~(out[i] ^ into[i])),
+    )
+    for adjacent, grow in relations:
+        classes = [_members(vs, c) for c in _classes(full, grow)]
+        assert classes == oracles.components(vertices, adjacent)
 
 
 @given(st.randoms(use_true_random=False))

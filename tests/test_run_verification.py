@@ -2,7 +2,7 @@
 import importlib.util
 from pathlib import Path
 
-from bpa.pipeline import GenParams
+from bpa.pipeline import GenParams, VerificationSummary
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
 spec = importlib.util.spec_from_file_location("run_verification", SCRIPT)
@@ -38,3 +38,8 @@ def test_the_sweep_prints_one_summary_per_setting(capsys):
 def test_the_negative_control_sweep_succeeds(capsys):
     assert run_verification.main(["-n", "2", "--negative-control"]) == 0
     assert len(blocks(capsys.readouterr().out)) == len(run_verification.SWEEP)
+
+
+def test_a_negative_control_instance_that_passes_fails_the_sweep(monkeypatch, capsys):
+    monkeypatch.setattr(run_verification, "verify", lambda n, **kwargs: VerificationSummary(instances=1))
+    assert run_verification.main(["-n", "1", "--negative-control"]) == 1
