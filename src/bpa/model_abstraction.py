@@ -392,7 +392,7 @@ def _decompose(vs: list[str], out: list[int], into: list[int], sub: int) -> MDTN
 
     # the components of the graph, then those of the complement of its
     # two-way edges
-    comps = _classes(sub, lambda i: (out[i] | into[i]) & sub)
+    comps = _classes(sub, lambda i: sub & (out[i] | into[i]))
     if len(comps) > 1:
         return split("and-complete", comps)
     comps = _classes(sub, lambda i: sub & ~(out[i] & into[i]))
