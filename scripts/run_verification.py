@@ -10,8 +10,9 @@ property is not an artifact of one tree or aggregation shape.
 import argparse
 import textwrap
 import time
+from dataclasses import replace
 
-from bpa.pipeline import GenParams, render_summary, verify
+from bpa.pipeline import NEGATIVE_CONTROL, GenParams, render_summary, verify
 
 #: tree shapes, then aggregation shapes other than the default two groups of
 #: two.  On these the applicability gate still passes some aggregations
@@ -27,6 +28,15 @@ SWEEP = (
     GenParams(agg_group_count=3, agg_group_size=3, activity_budget=14),
 )
 
+#: each distinct tree shape of ``SWEEP`` once, with the negative control's grouping
+CONTROL_SWEEP = tuple(dict.fromkeys(
+    replace(
+        NEGATIVE_CONTROL, max_depth=p.max_depth,
+        max_children=p.max_children, activity_budget=p.activity_budget,
+    )
+    for p in SWEEP
+))
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -35,17 +45,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--negative-control",
         action="store_true",
-        help="generate out-of-class instances instead; every one must fail",
+        help="run each tree shape with one group of two instead; every instance must fail",
     )
     args = parser.parse_args(argv)
 
     all_ok = True
-    for params in SWEEP:
+    for params in CONTROL_SWEEP if args.negative_control else SWEEP:
         start = time.perf_counter()
-        summary = verify(
-            args.n, seed=args.seed, base=params,
-            negative_control=args.negative_control,
-        )
+        summary = verify(args.n, seed=args.seed, base=params)
         elapsed = time.perf_counter() - start
         print(
             f"depth<={params.max_depth} budget={params.activity_budget} "

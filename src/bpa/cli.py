@@ -30,7 +30,7 @@ from .logs import (
 )
 from .miner import check_restricted
 from .model_abstraction import InapplicableError, load_agg_spec, ma_bpa
-from .pipeline import GenerationError, render_summary, roundtrip, verify
+from .pipeline import NEGATIVE_CONTROL, GenerationError, GenParams, render_summary, roundtrip, verify
 from .profiles import behavioral_profile, graph_to_dot, order_relations_graph
 from .semantics import LogSizeError, minimal_log
 from .trees import (
@@ -285,7 +285,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    summary = verify(args.instances, seed=args.seed, negative_control=args.negative_control)
+    base = NEGATIVE_CONTROL if args.negative_control else GenParams()
+    summary = verify(args.instances, seed=args.seed, base=base)
     print(render_summary(summary))
     return EXIT_OK if summary.ok else EXIT_ERROR
 

@@ -267,8 +267,8 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
                 if not item[3]:
                     remaining.pop(0)
             for _, trace, acts, n in sorted(taken):
-                order = reorder(acts, ref_acts)
-                events = (trace[i].with_attrs(transposed="true") if m else trace[i] for i, m in order)
+                events = (trace[i].with_attrs(transposed="true") if moved else trace[i]
+                          for i, moved in reorder(acts, ref_acts))
                 result.add(tuple(events), n)
     if ref_classes:
         acts = ", ".join(f"{a}:{n}" for a, n in Counter(next(iter(ref_classes))).items())

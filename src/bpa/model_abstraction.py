@@ -58,9 +58,7 @@ from .trees import (
     _members,
     activities,
     check_class,
-    normal_form,
     render_tree,
-    canonical,
 )
 
 logger = logging.getLogger(__name__)
@@ -442,10 +440,12 @@ def _synthesize(profile: BehavioralProfile, mdt: MDTNode) -> ProcessTree:
         if m.kind == "linear":
             return ProcessTree("seq", tuple(kids))
         op = "xor" if m.kind == "xor-complete" else "and"
-        kids.sort(key=lambda t: render_tree(canonical(t)))
+        kids.sort(key=render_tree)
         return ProcessTree(op, tuple(kids))
 
-    return normal_form(build(mdt))
+    # built canonical and in normal form: every child is built canonical, and no child
+    # of a linear, xor- or and-complete node (two or more, disjoint) is of its kind
+    return build(mdt)
 
 
 # ---------------------------------------------------------------------------

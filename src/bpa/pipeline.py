@@ -18,6 +18,7 @@ import random
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .event_abstraction import MatchingError, ea1, ea2
 from .logs import EventLog
@@ -31,7 +32,7 @@ from .model_abstraction import (
     relation_codes,
 )
 from .profiles import behavioral_profile
-from .semantics import DEFAULT_TRACE_CAP, LogSizeError, minimal_log, ntl
+from .semantics import LogSizeError, minimal_log, ntl
 from .trees import (
     ClassReport,
     ProcessTree,
@@ -104,6 +105,7 @@ class GenerationError(RuntimeError):
 
 SELF_LOOP_PROB = 0.25  # chance that a generated leaf is a self-loop loop(a, tau)
 MAX_ATTEMPTS = 200  # trees sampled per instance before the generator gives up
+SHRINK_BUDGET = 60  # the most candidates the shrinker tries per failure
 MAX_BASE_TRACES = 400  # the most traces a generated tree's minimal log may have
 
 
@@ -113,8 +115,8 @@ class GenParams:
 
     With ``allow_unrestricted`` the generator skips the restriction and
     applicability gates and may produce sequence nodes with plain activity
-    children as well as aggregations that violate the union bound — the
-    negative control for the verifier.
+    children as well as aggregations that violate the union bound; the
+    verifier's negative control is ``NEGATIVE_CONTROL``.
     """
 
     seed: int = 0
@@ -124,6 +126,10 @@ class GenParams:
     agg_group_count: int = 2
     agg_group_size: int = 2
     allow_unrestricted: bool = False
+
+
+# a lone group of two never clears the union bound: every instance stops at the gate
+NEGATIVE_CONTROL = GenParams(allow_unrestricted=True, agg_group_count=1, agg_group_size=2)
 
 
 @dataclass(frozen=True)
@@ -146,10 +152,7 @@ def _instance(model: ProcessTree, log: EventLog, spec: AggSpec, seed: int) -> In
 
 def generate_instance(params: GenParams) -> Instance:
     rng = random.Random(params.seed)
-    count = max(1, params.agg_group_count)
-    size = max(2, params.agg_group_size)
-    if count == 1 and size == 2 and not params.allow_unrestricted:
-        size = 3  # a lone two-activity group never clears the union bound
+    count, size = params.agg_group_count, params.agg_group_size
     for _ in range(MAX_ATTEMPTS):
         tree = _random_tree(rng, params)
         # a tree too small for the grouping is refused before its log is built
@@ -261,19 +264,11 @@ class VerificationSummary:
         return not self.failures
 
 
-def verify(
-    n: int,
-    seed: int = 0,
-    base: GenParams | None = None,
-    negative_control: bool = False,
-) -> VerificationSummary:
+def verify(n: int, seed: int = 0, base: GenParams = GenParams()) -> VerificationSummary:
+    """Check ``n`` generated instances of shape ``base``: instance i uses
+    seed ``seed + i``, and ``base.seed`` is not read."""
     if n < 0:
         raise ValueError(f"number of instances must be at least 0, not {n}")
-    base = base if base is not None else GenParams()
-    if negative_control:
-        base = replace(
-            base, allow_unrestricted=True, agg_group_count=1, agg_group_size=2
-        )
     return check_instances(generate_instance(replace(base, seed=seed + i)) for i in range(n))
 
 
@@ -328,7 +323,7 @@ def _profile_realized(report: RoundtripReport) -> bool:
 def _counts_match(abstract_model: ProcessTree) -> bool:
     """Trace count and length distribution of the minimal log must match
     the predicted values."""
-    predicted = ntl(abstract_model, trace_cap=DEFAULT_TRACE_CAP)
+    predicted = ntl(abstract_model)
     actual = minimal_log(abstract_model)
     lengths = Counter()
     for trace, n in actual.variants():
@@ -360,15 +355,16 @@ def _record_failure(
     )
 
 
-def _shrink(instance: Instance, budget: int = 60) -> Instance:
+def _shrink(instance: Instance) -> Instance:
     """Greedy reduction of a failing instance: drop subtrees, prune the
     aggregation accordingly, and keep any candidate on its minimal log that
     still goes out of sync the way ``check_instances`` sees it."""
     best = instance
+    budget = SHRINK_BUDGET
     improved = True
-    while improved and budget > 0:
+    while improved:
         improved = False
-        for model, spec in _shrink_candidates(best):
+        for model, spec in islice(_shrink_candidates(best), budget):
             budget -= 1
             try:
                 candidate = _instance(model, minimal_log(model), spec, best.seed)
@@ -379,8 +375,6 @@ def _shrink(instance: Instance, budget: int = 60) -> Instance:
             if still_failing:
                 best = candidate
                 improved = True
-                break
-            if budget <= 0:
                 break
     return best
 

@@ -54,10 +54,10 @@ class NtlResult:
         return sum(self.lens)
 
 
-def ntl(tree: ProcessTree, trace_cap: int | None = None) -> NtlResult:
-    """Trace count and lengths of ``L_m(M)``.  With ``trace_cap`` the
-    computation aborts with :class:`LogSizeError` as soon as any subtree
-    exceeds the cap (a child's count is a lower bound for its parent's)."""
+def ntl(tree: ProcessTree, trace_cap: int = DEFAULT_TRACE_CAP) -> NtlResult:
+    """Trace count and lengths of ``L_m(M)``.  The computation aborts with
+    :class:`LogSizeError` as soon as any subtree exceeds ``trace_cap`` (a
+    child's count is a lower bound for its parent's)."""
     require_class(tree, "C_c")
     tr, lens = _ntl(tree, trace_cap)
     return NtlResult(tr, tuple(lens))
@@ -71,7 +71,7 @@ def _multinomial(parts: tuple[int, ...]) -> int:
     return out
 
 
-def _ntl(t: ProcessTree, cap: int | None) -> tuple[int, list[int]]:
+def _ntl(t: ProcessTree, cap: int) -> tuple[int, list[int]]:
     if t.is_tau:
         return 1, [0]
     if t.is_activity:
@@ -101,8 +101,8 @@ def _ntl(t: ProcessTree, cap: int | None) -> tuple[int, list[int]]:
     raise AssertionError(f"unreachable operator {t.label!r}")  # loop-shape checked upfront
 
 
-def _check_cap(count: int, cap: int | None) -> None:
-    if cap is not None and count > cap:
+def _check_cap(count: int, cap: int) -> None:
+    if count > cap:
         raise LogSizeError(f"minimal log has at least {count} traces, exceeding {cap}")
 
 

@@ -42,7 +42,18 @@ from bpa.profiles import (
     profile_from_function,
 )
 from bpa.semantics import LogSizeError, minimal_log
-from bpa.trees import _classes, _masks, _members, activities, isomorphic, parse_tree, render_tree, size
+from bpa.trees import (
+    _classes,
+    _masks,
+    _members,
+    activities,
+    canonical,
+    isomorphic,
+    normal_form,
+    parse_tree,
+    render_tree,
+    size,
+)
 from conftest import (
     CLAIMS_ABSTRACT,
     CLAIMS_GROUPS,
@@ -659,6 +670,16 @@ def test_synthesis_inverts_the_profile(tree):
     rebuilt = oracles.synthesize(behavioral_profile(tree))
     assert rebuilt is not None
     assert isomorphic(rebuilt, normal_form(tree))
+
+
+@given(st.builds(random_profile, st.randoms(use_true_random=False)))
+@settings(max_examples=200, deadline=None)
+def test_synthesis_builds_canonical_trees_in_normal_form(profile):
+    # no child of a linear, xor- or and-complete node is of its parent's
+    # kind, so the built tree needs no flattening and no re-sorting
+    tree = oracles.synthesize(profile)
+    assume(tree is not None)  # a primitive module: nothing to synthesize
+    assert tree == canonical(tree) == normal_form(tree)
 
 
 # ---------------------------------------------------------------------------

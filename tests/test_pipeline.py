@@ -29,6 +29,7 @@ from bpa.model_abstraction import (
     w_minmax,
 )
 from bpa.pipeline import (
+    NEGATIVE_CONTROL,
     GenParams,
     GenerationError,
     generate_instance,
@@ -258,6 +259,17 @@ def test_generation_fails_loudly_when_parameters_are_unsatisfiable():
         generate_instance(GenParams(activity_budget=3))
 
 
+@pytest.mark.parametrize("params", [
+    GenParams(agg_group_count=1, agg_group_size=2),  # refused by the union bound
+    GenParams(agg_group_count=0),  # introduces no abstract activity
+    GenParams(agg_group_size=1),  # singleton groups
+])
+def test_generation_runs_the_shape_it_is_given(params):
+    # no shape is rewritten into one the gate passes
+    with pytest.raises(GenerationError, match="no viable instance"):
+        generate_instance(params)
+
+
 # ---------------------------------------------------------------------------
 # Randomized verification
 # ---------------------------------------------------------------------------
@@ -359,7 +371,7 @@ def test_check_instances_takes_a_hand_built_source(monkeypatch):
 
 
 def test_negative_control_fails_at_the_gate():
-    summary = verify(3, seed=0, negative_control=True)
+    summary = verify(3, seed=0, base=NEGATIVE_CONTROL)
     assert summary.instances == 3
     assert not summary.ok
     assert len(summary.failures) == 3

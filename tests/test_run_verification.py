@@ -37,7 +37,9 @@ def test_the_sweep_prints_one_summary_per_setting(capsys):
 
 def test_the_negative_control_sweep_succeeds(capsys):
     assert run_verification.main(["-n", "2", "--negative-control"]) == 0
-    assert len(blocks(capsys.readouterr().out)) == len(run_verification.SWEEP)
+    printed = blocks(capsys.readouterr().out)
+    assert len(printed) == 4  # the distinct tree shapes of SWEEP
+    assert all("groups=1x2 [" in block[0] for block in printed)
 
 
 def test_a_negative_control_instance_that_passes_fails_the_sweep(monkeypatch, capsys):

@@ -107,6 +107,14 @@ def test_ntl_cap_guards_giant_interleavings():
         ntl(node("and", left, right), trace_cap=1_000)
 
 
+def test_ntl_caps_by_default():
+    # four parallel chains of three: 12!/(3!)^4 = 369,600 traces, over the
+    # default cap, so no list of that many lengths is built
+    four_chains = parse_tree("and(seq(a0,b0,c0),seq(a1,b1,c1),seq(a2,b2,c2),seq(a3,b3,c3))")
+    with pytest.raises(LogSizeError, match=f"exceeding {DEFAULT_TRACE_CAP}"):
+        ntl(four_chains)
+
+
 # ---------------------------------------------------------------------------
 # Minimal log materialization
 # ---------------------------------------------------------------------------
