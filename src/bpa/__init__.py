@@ -1,99 +1,49 @@
 """Synchronized abstraction of block-structured process models and event
 logs: discover a tree from a log, aggregate activities over its behavioral
 profile, and rewrite the log so that rediscovery reproduces the abstracted
-tree."""
+tree.
 
-from .trees import (
-    ClassReport,
-    ClassViolationError,
-    ProcessTree,
-    TreeSyntaxError,
-    activities,
-    canonical,
-    check_class,
-    isomorphic,
-    leaf,
-    node,
-    normal_form,
-    parse_tree,
-    render_tree,
-    require_class,
-    size,
-    tau,
-    tree_to_dot,
-)
-from .logs import (
-    DFG,
-    Event,
-    EventLog,
-    dfg_of_log,
-    format_compact,
-    log_from_sequences,
-    read_compact,
-    read_compact_file,
-    read_csv_log,
-    write_csv_log,
-)
-from .semantics import (
-    LogSizeError,
-    NtlResult,
-    minimal_log,
-    ntl,
-)
-from .profiles import (
-    CHOICE,
-    INVERSE,
-    PARALLEL,
-    STRICT,
-    BehavioralProfile,
-    behavioral_profile,
-    order_relations_graph,
-)
-from .model_abstraction import (
-    Abstraction,
-    AggSpec,
-    InapplicableError,
-    applicable,
-    derive_ordering_relation,
-    derive_profile,
-    dump_agg_spec,
-    expand_spec,
-    load_agg_spec,
-    ma_bpa,
-    make_spec,
-    modular_decomposition,
-    plan,
-    relation_weights,
-    w_minmax,
-)
-from .miner import (
-    DiscoveryAudit,
-    FORBIDDEN_FALLTHROUGHS,
-    RestrictionCheck,
-    audit_restrictions,
-    check_restricted,
-    discover,
-)
-from .event_abstraction import (
-    MatchingError,
-    delete_choice_activities,
-    ea1,
-    ea2,
-    ea_bpa,
-    even_split_sizes,
-    kendall_distance,
-)
-from .pipeline import (
-    GenParams,
-    GenerationError,
-    Instance,
-    RoundtripReport,
-    VerificationSummary,
-    generate_instance,
-    roundtrip,
-    verify,
-)
+``import bpa`` loads no submodule: each exported name is imported from its
+module on first access (PEP 562) and kept here after that."""
+
+import importlib
+
+#: the exported names of each submodule
+_EXPORTS = {
+    "trees": "ClassReport ClassViolationError ProcessTree TreeSyntaxError activities canonical "
+    "check_class isomorphic leaf node normal_form parse_tree render_tree require_class size tau "
+    "tree_to_dot",
+    "logs": "DFG Event EventLog dfg_of_log format_compact log_from_sequences read_compact "
+    "read_compact_file read_csv_log write_csv_log",
+    "semantics": "LogSizeError NtlResult minimal_log ntl",
+    "profiles": "CHOICE INVERSE PARALLEL STRICT BehavioralProfile behavioral_profile "
+    "order_relations_graph",
+    "model_abstraction": "Abstraction AggSpec InapplicableError applicable "
+    "derive_ordering_relation derive_profile dump_agg_spec expand_spec load_agg_spec ma_bpa "
+    "make_spec modular_decomposition plan relation_weights w_minmax",
+    "miner": "DiscoveryAudit FORBIDDEN_FALLTHROUGHS RestrictionCheck audit_restrictions "
+    "check_restricted discover",
+    "event_abstraction": "MatchingError delete_choice_activities ea1 ea2 ea_bpa "
+    "even_split_sizes kendall_distance",
+    "pipeline": "GenParams GenerationError Instance RoundtripReport VerificationSummary "
+    "generate_instance roundtrip verify",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_MODULE_OF, *_EXPORTS])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule: importing it binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -7,6 +7,10 @@ from CSV when the file ends in ``.csv`` and from the compact
 one-trace-per-line format otherwise; model arguments accept a file path or
 a literal tree expression.
 
+Only ``trees``, ``logs`` and ``miner`` are imported here, which is all
+``discover`` needs; every other handler imports the modules it runs, so a
+subcommand loads only what it uses.
+
 Exit codes: 0 on success, 2 when a gate failed or stage-two matching found
 no reference trace (roundtrip may still have produced output), 1 on
 everything else.  Handlers raise; only ``main`` maps exceptions to codes.
@@ -18,7 +22,8 @@ import io
 import sys
 from pathlib import Path
 
-from .event_abstraction import MatchingError, ea_bpa
+import bpa
+
 from .logs import (
     EventLog,
     dfg_of_log,
@@ -29,10 +34,6 @@ from .logs import (
     write_csv_log,
 )
 from .miner import check_restricted
-from .model_abstraction import InapplicableError, load_agg_spec, ma_bpa
-from .pipeline import NEGATIVE_CONTROL, GenerationError, GenParams, render_summary, roundtrip, verify
-from .profiles import behavioral_profile, graph_to_dot, order_relations_graph
-from .semantics import LogSizeError, minimal_log
 from .trees import (
     parse_tree,
     render_tree,
@@ -49,14 +50,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InapplicableError as exc:
+    # the lazy package imports these classes only when an exception gets here
+    except bpa.InapplicableError as exc:
         _print_violations(exc.report, "aggregation not applicable")
         return EXIT_GATE
-    except MatchingError as exc:
+    except bpa.MatchingError as exc:
         print(f"trace matching failed: {exc}", file=sys.stderr)
         return EXIT_GATE
     # parse and class errors are ValueErrors
-    except (ValueError, OSError, LogSizeError, GenerationError) as exc:
+    except (ValueError, OSError, bpa.LogSizeError, bpa.GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -136,6 +138,8 @@ def _read_tree(arg: str):
 
 
 def _load_spec(path: str):
+    from .model_abstraction import load_agg_spec
+
     return load_agg_spec(Path(path).read_text(encoding="utf-8-sig"))
 
 
@@ -199,6 +203,8 @@ def cmd_discover(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .profiles import behavioral_profile, graph_to_dot, order_relations_graph
+
     tree = _read_tree(args.model)
     profile = behavioral_profile(tree)
     if args.format == "dot":
@@ -211,6 +217,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_minlog(args) -> int:
+    from .semantics import minimal_log
+
     tree = _read_tree(args.model)
     log = minimal_log(tree)
     text, suffix = _log_text(log, args.format)
@@ -220,6 +228,8 @@ def cmd_minlog(args) -> int:
 
 
 def cmd_abstract_model(args) -> int:
+    from .model_abstraction import ma_bpa
+
     tree = _read_tree(args.model)
     abstracted = ma_bpa(tree, _load_spec(args.agg))
     text, suffix = _tree_text(abstracted, args.format)
@@ -229,6 +239,8 @@ def cmd_abstract_model(args) -> int:
 
 
 def cmd_abstract_log(args) -> int:
+    from .event_abstraction import ea_bpa
+
     log = _read_log(args.log)
     abstracted = ea_bpa(log, _load_spec(args.agg))
     text, suffix = _log_text(abstracted, args.format)
@@ -242,6 +254,8 @@ def cmd_abstract_log(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from .pipeline import roundtrip
+
     log = _read_log(args.log)
     spec = _load_spec(args.agg)
     report = roundtrip(log, spec)
@@ -285,6 +299,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .pipeline import NEGATIVE_CONTROL, GenParams, render_summary, verify
+
     base = NEGATIVE_CONTROL if args.negative_control else GenParams()
     summary = verify(args.instances, seed=args.seed, base=base)
     print(render_summary(summary))

@@ -468,6 +468,28 @@ class Abstraction:
     tree: ProcessTree | None = None
 
 
+def group_violations(groups: Mapping[str, frozenset[str]]) -> list[tuple[str, str, str]]:
+    """The gate's rules that read only the groups of the new abstract
+    activities: there is one, none is a singleton, and together they
+    aggregate more activities than there are abstract activities + 1."""
+    violations = []
+    if not groups:
+        violations.append(("no-new-activity", "", "aggregation introduces no abstract activity"))
+    for x in sorted(groups):
+        if len(groups[x]) < 2:
+            violations.append(
+                ("singleton-group", "", f"abstract activity '{x}' aggregates fewer than 2 activities")
+            )
+    union_new = set().union(*groups.values())
+    if groups and len(union_new) <= len(groups) + 1:
+        violations.append(
+            ("aggregation-union", "",
+             f"aggregated activities ({len(union_new)}) must outnumber abstract activities + 1 "
+             f"({len(groups) + 1})")
+        )
+    return violations
+
+
 def plan(model: ProcessTree, spec: AggSpec) -> Abstraction:
     """Check the five applicability conditions and, as far as they allow,
     derive the abstract profile and synthesize the abstracted tree.
@@ -487,20 +509,7 @@ def plan(model: ProcessTree, spec: AggSpec) -> Abstraction:
 
     new = frozenset(full.new_names(alphabet))
     kept = full.kept_names(alphabet)
-    if not new:
-        violations.append(("no-new-activity", "", "aggregation introduces no abstract activity"))
-    for x in sorted(new):
-        if len(full.agg[x]) < 2:
-            violations.append(
-                ("singleton-group", "", f"abstract activity '{x}' aggregates fewer than 2 activities")
-            )
-    union_new = set().union(*(full.agg[x] for x in new)) if new else set()
-    if new and len(union_new) <= len(new) + 1:
-        violations.append(
-            ("aggregation-union", "",
-             f"aggregated activities ({len(union_new)}) must outnumber abstract activities + 1 "
-             f"({len(new) + 1})")
-        )
+    violations += group_violations({x: full.agg[x] for x in new})
     for y in sorted(kept):
         if full.agg[y] != frozenset({y}):
             violations.append(("kept-not-identity", "", f"kept activity '{y}' must map to itself"))

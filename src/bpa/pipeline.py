@@ -27,6 +27,7 @@ from .model_abstraction import (
     AggSpec,
     Abstraction,
     dump_agg_spec,
+    group_violations,
     grouping_threshold,
     plan,
     relation_codes,
@@ -153,6 +154,14 @@ def _instance(model: ProcessTree, log: EventLog, spec: AggSpec, seed: int) -> In
 def generate_instance(params: GenParams) -> Instance:
     rng = random.Random(params.seed)
     count, size = params.agg_group_count, params.agg_group_size
+    # the gate's rules on the groups alone refuse some shapes whatever the tree
+    shape = {f"X{i + 1}": frozenset(f"a{i}.{j}" for j in range(size)) for i in range(count)}
+    doomed = [] if params.allow_unrestricted else group_violations(shape)
+    if doomed:
+        rule, _, msg = doomed[0]
+        raise GenerationError(
+            f"no viable instance: every {count}x{size} grouping fails [{rule}] {msg}"
+        )
     for _ in range(MAX_ATTEMPTS):
         tree = _random_tree(rng, params)
         # a tree too small for the grouping is refused before its log is built

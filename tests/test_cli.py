@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bpa.cli as cli
 import bpa.pipeline as pipeline
 from bpa import make_spec
 from bpa.cli import main
@@ -622,6 +623,86 @@ def test_the_cli_runs_without_networkx():
                           env=subprocess_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+#: the package modules a cold ``bpa discover`` loads
+DISCOVER_MODULES = ["bpa", "bpa.cli", "bpa.logs", "bpa.miner", "bpa.trees"]
+
+
+def test_discover_loads_only_the_modules_it_runs():
+    # `import bpa` is lazy and each handler imports what it runs; random and
+    # pathlib are not checked, since site may load them before bpa
+    unused = ["bpa.model_abstraction", "bpa.pipeline", "bpa.event_abstraction", "bpa.profiles",
+              "bpa.semantics", "fractions", "decimal", "logging"]
+    script = (
+        "import sys, bpa, bpa.cli\n"
+        "assert bpa.cli.main(['discover', 'fixtures/claims_log.txt']) == 0\n"
+        f"print(sorted(m for m in {unused!r} if m in sys.modules))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'bpa'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], cwd=FIXTURES.parent,
+                          env=subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["[]", str(DISCOVER_MODULES)]
+
+
+#: a statement that raises in a handler, the exit code ``main`` maps it to
+#: (None: it propagates) and the stderr it prints
+HANDLER_ERRORS = {
+    "InapplicableError": (
+        "from bpa.model_abstraction import InapplicableError as E; from bpa.trees import ClassReport;"
+        " raise E(ClassReport.from_violations([('aggregation-union', '', 'too few')]))",
+        2, "aggregation not applicable:\n  - [aggregation-union] too few\n",
+    ),
+    "MatchingError": (
+        "from bpa.event_abstraction import MatchingError as E; raise E('no reference trace')",
+        2, "trace matching failed: no reference trace\n",
+    ),
+    "LogSizeError": (
+        "from bpa.semantics import LogSizeError as E; raise E('too many traces')",
+        1, "error: too many traces\n",
+    ),
+    "GenerationError": (
+        "from bpa.pipeline import GenerationError as E; raise E('no viable instance')",
+        1, "error: no viable instance\n",
+    ),
+    "ValueError": ("raise ValueError('bad input')", 1, "error: bad input\n"),
+    "OSError": ("raise OSError('no such file')", 1, "error: no such file\n"),
+    "RuntimeError": ("raise RuntimeError('a bug')", None, None),
+}
+
+
+@pytest.mark.parametrize("error", sorted(HANDLER_ERRORS))
+def test_main_maps_handler_errors_to_exit_codes(monkeypatch, capsys, error):
+    statement, code, err = HANDLER_ERRORS[error]
+    monkeypatch.setattr(cli, "cmd_discover", lambda args: exec(statement))
+    if code is None:
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["discover", "log.txt"])
+        return
+    assert main(["discover", "log.txt"]) == code
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", err)
+
+
+@pytest.mark.parametrize("error", sorted(HANDLER_ERRORS))
+def test_main_maps_handler_errors_in_a_fresh_interpreter(error):
+    # only discover's modules are loaded when the handler runs: main imports
+    # the exception classes it names only once an error reaches it
+    statement, code, err = HANDLER_ERRORS[error]
+    script = (
+        "import sys, bpa.cli\n"
+        f"assert sorted(m for m in sys.modules if m.partition('.')[0] == 'bpa') == {DISCOVER_MODULES!r}\n"
+        f"bpa.cli.cmd_discover = lambda args: exec({statement!r})\n"
+        "sys.exit(bpa.cli.main(['discover', 'log.txt']))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], cwd=FIXTURES.parent,
+                          env=subprocess_env(), capture_output=True, text=True)
+    if code is None:
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == "RuntimeError: a bug"
+    else:
+        assert (done.returncode, done.stderr) == (code, err)
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS_READ))

@@ -259,15 +259,28 @@ def test_generation_fails_loudly_when_parameters_are_unsatisfiable():
         generate_instance(GenParams(activity_budget=3))
 
 
-@pytest.mark.parametrize("params", [
-    GenParams(agg_group_count=1, agg_group_size=2),  # refused by the union bound
-    GenParams(agg_group_count=0),  # introduces no abstract activity
-    GenParams(agg_group_size=1),  # singleton groups
-])
-def test_generation_runs_the_shape_it_is_given(params):
-    # no shape is rewritten into one the gate passes
-    with pytest.raises(GenerationError, match="no viable instance"):
+#: shapes the gate refuses whatever the tree, with the rule that refuses them
+DOOMED_SHAPES = {
+    GenParams(agg_group_count=1, agg_group_size=2): "aggregation-union",
+    GenParams(agg_group_count=0): "no-new-activity",
+    GenParams(agg_group_size=1): "singleton-group",
+}
+
+
+@pytest.mark.parametrize("params", list(DOOMED_SHAPES))
+def test_generation_runs_the_shape_it_is_given(monkeypatch, params):
+    # no shape is rewritten into one the gate passes, and the gate's rules on
+    # the groups alone refuse these shapes before a tree is drawn
+    def drawn(*_):
+        raise AssertionError("a tree was drawn")
+
+    monkeypatch.setattr(pipeline, "_random_tree", drawn)
+    rule = DOOMED_SHAPES[params]
+    with pytest.raises(GenerationError, match=rf"no viable instance: .*\[{rule}\]"):
         generate_instance(params)
+    # the negative control draws trees in the same shape
+    with pytest.raises(AssertionError, match="a tree was drawn"):
+        generate_instance(replace(params, allow_unrestricted=True))
 
 
 # ---------------------------------------------------------------------------
