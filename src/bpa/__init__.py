@@ -3,8 +3,9 @@ logs: discover a tree from a log, aggregate activities over its behavioral
 profile, and rewrite the log so that rediscovery reproduces the abstracted
 tree.
 
-``import bpa`` loads no submodule: each exported name is imported from its
-module on first access (PEP 562) and kept here after that."""
+``import bpa`` loads no submodule: each exported name is read from its
+module on every access (PEP 562), so it is always the module's current
+value."""
 
 import importlib
 
@@ -40,9 +41,7 @@ def __getattr__(name: str):
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
 
 
 def __dir__() -> list[str]:

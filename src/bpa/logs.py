@@ -25,11 +25,9 @@ Compact traces
 """
 from __future__ import annotations
 
-import csv
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -172,8 +170,7 @@ def log_from_sequences(seqs: Iterable[Sequence[str]], counts: Iterable[int] | No
 # Directly-follows graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DFG:
+class DFG(NamedTuple):
     """Directly-follows graph over activities plus the START/END nodes."""
 
     nodes: frozenset[str]
@@ -240,6 +237,7 @@ def read_csv_log(source) -> EventLog:
     case, activity or timestamp, or a field the ``csv`` module refuses, is a
     ``ValueError`` naming the line where the row ends.
     """
+    import csv
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="", encoding="utf-8-sig") as fh:
             return read_csv_log(fh)
@@ -319,6 +317,7 @@ def _timestamp_key(ts: str):
 def write_csv_log(log: EventLog, target) -> None:
     """Write a log as CSV; abstraction attributes ``concrete`` and
     ``transposed`` get their own columns, all others go to ``attr:*``."""
+    import csv
     if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
         with open(target, "w", newline="", encoding="utf-8") as fh:
             write_csv_log(log, fh)

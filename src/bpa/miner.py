@@ -17,7 +17,8 @@ and sequence nodes with activity or self-loop children.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Iterable, NamedTuple
 
 from .logs import EventLog, _dfg_edges
 from .trees import (
@@ -47,24 +48,22 @@ FORBIDDEN_FALLTHROUGHS = (
 )
 
 
-@dataclass
-class DiscoveryAudit:
+class DiscoveryAudit(SimpleNamespace):
     """Trace of one discovery run.
 
     cuts_used/fallthroughs_used list what actually executed, in recursion
     order; detected lists fall-through detectors that fired at a flower
     step without being executed; failures lists cut candidates that were
-    found but rejected by validation.
+    found but rejected by validation.  Each audit holds its own lists.
     """
 
-    cuts_used: list[str] = field(default_factory=list)
-    fallthroughs_used: list[str] = field(default_factory=list)
-    detected: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, cuts_used: Iterable[str] = (), fallthroughs_used: Iterable[str] = (),
+                 detected: Iterable[str] = (), failures: Iterable[str] = ()) -> None:
+        super().__init__(cuts_used=[*cuts_used], fallthroughs_used=[*fallthroughs_used],
+                         detected=[*detected], failures=[*failures])
 
 
-@dataclass(frozen=True)
-class RestrictionCheck:
+class RestrictionCheck(NamedTuple):
     tree: ProcessTree
     audit: DiscoveryAudit
     report: ClassReport

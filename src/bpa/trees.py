@@ -8,7 +8,8 @@ operator node over at least two children:
 * ``and`` — interleaved parallel composition,
 * ``loop`` — repetition (first child is the body).
 
-Trees are immutable and hashable.  The text grammar is::
+Trees are ``(label, children)`` tuples, so immutable and hashable.  The
+text grammar is::
 
     tree := 'tau' | IDENT | OP '(' tree (',' tree)+ ')'
     OP   := 'seq' | 'xor' | 'and' | 'loop'
@@ -20,8 +21,7 @@ with ``IDENT = [A-Za-z0-9_]+`` excluding the keywords.  Two trees are
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 OPERATORS = ("seq", "xor", "and", "loop")
 TAU = "tau"
@@ -50,26 +50,29 @@ class TreeSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class ProcessTree:
+class _TreeFields(NamedTuple):
+    label: str
+    children: tuple["ProcessTree", ...] = ()
+
+
+class ProcessTree(_TreeFields):
     """One node of a process tree.
 
     ``label`` is an operator name, an activity name, or ``"tau"``.  Operator
     nodes carry at least two children; leaves carry none.
     """
 
-    label: str
-    children: tuple["ProcessTree", ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.label in OPERATORS:
-            if len(self.children) < 2:
-                raise ValueError(f"operator '{self.label}' needs >= 2 children")
-        else:
-            if self.children:
-                raise ValueError(f"leaf '{self.label}' cannot have children")
-            if self.label != TAU and not _IDENT_RE.fullmatch(self.label):
-                raise ValueError(f"invalid activity name: {self.label!r}")
+    def __new__(cls, label: str, children: tuple["ProcessTree", ...] = ()) -> "ProcessTree":
+        if label in OPERATORS:
+            if len(children) < 2:
+                raise ValueError(f"operator '{label}' needs >= 2 children")
+        elif children:
+            raise ValueError(f"leaf '{label}' cannot have children")
+        elif label != TAU and not _IDENT_RE.fullmatch(label):
+            raise ValueError(f"invalid activity name: {label!r}")
+        return tuple.__new__(cls, (label, children))
 
     # -- structural predicates -------------------------------------------
     @property
@@ -98,8 +101,7 @@ class ProcessTree:
         return f"ProcessTree({render_tree(self)!r})"
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """Outcome of a rule check: ``in_class`` iff ``violations`` is empty.
 
     Each violation is a ``(rule-id, path, message)`` triple where ``path``

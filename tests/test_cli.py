@@ -633,7 +633,7 @@ def test_discover_loads_only_the_modules_it_runs():
     # `import bpa` is lazy and each handler imports what it runs; random and
     # pathlib are not checked, since site may load them before bpa
     unused = ["bpa.model_abstraction", "bpa.pipeline", "bpa.event_abstraction", "bpa.profiles",
-              "bpa.semantics", "fractions", "decimal", "logging"]
+              "bpa.semantics", "fractions", "decimal", "logging", "dataclasses", "inspect", "csv"]
     script = (
         "import sys, bpa, bpa.cli\n"
         "assert bpa.cli.main(['discover', 'fixtures/claims_log.txt']) == 0\n"

@@ -51,6 +51,18 @@ def test_star_import_binds_every_export():
     assert all(scope[name] is getattr(bpa, name) for name in bpa.__all__)
 
 
+def test_a_name_read_while_patched_follows_its_module_after(monkeypatch):
+    # nothing is cached in the package: undoing a patch of the module
+    # attribute undoes it for `bpa` too
+    import bpa.miner
+
+    discover = bpa.miner.discover
+    monkeypatch.setattr(bpa.miner, "discover", lambda log: None)
+    assert bpa.discover is bpa.miner.discover
+    monkeypatch.undo()
+    assert bpa.discover is bpa.miner.discover is discover
+
+
 def test_unknown_names_stay_unknown():
     assert not hasattr(bpa, "no_such_name")
     assert bpa.__version__ == "0.1.0"

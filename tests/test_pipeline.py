@@ -112,8 +112,10 @@ def test_roundtrip_reports_matching_failures():
 
 
 def record_calls(monkeypatch, fn) -> list[tuple]:
-    """Wrap ``fn`` at every ``bpa`` module attribute naming it and return
-    the list the positional arguments of its calls are appended to."""
+    """Wrap ``fn`` at every ``bpa`` submodule attribute naming it and return
+    the list the positional arguments of its calls are appended to.  The
+    package itself reads each name from its module, so it sees the wrapper;
+    patching it would leave the name bound there after the undo."""
     calls: list[tuple] = []
 
     def wrapper(*args, **kwargs):
@@ -121,7 +123,7 @@ def record_calls(monkeypatch, fn) -> list[tuple]:
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bpa" and getattr(module, fn.__name__, None) is fn:
+        if name.startswith("bpa.") and getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, wrapper)
     return calls
 
