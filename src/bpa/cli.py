@@ -2,10 +2,10 @@
 
 Subcommands cover the individual stages (discover, profile, minlog, and
 the paper's two techniques: abstract-model runs ``ma_bpa``, abstract-log
-``ea_bpa``) and the end-to-end flows (roundtrip, verify).  Logs are read
-from CSV when the file ends in ``.csv`` and from the compact
-one-trace-per-line format otherwise; model arguments accept a file path or
-a literal tree expression.
+the audited ``ea_bpa`` chain) and the end-to-end flows (roundtrip,
+verify).  Logs are read from CSV when the file ends in ``.csv`` and from
+the compact one-trace-per-line format otherwise; model arguments accept a
+file path or a literal tree expression.
 
 Only ``trees``, ``logs`` and ``miner`` are imported here, which is all
 ``discover`` needs; every other handler imports the modules it runs, so a
@@ -13,7 +13,9 @@ subcommand loads only what it uses.
 
 Exit codes: 0 on success, 2 when a gate failed or stage-two matching found
 no reference trace (roundtrip may still have produced output), 1 on
-everything else.  Handlers raise; only ``main`` maps exceptions to codes.
+everything else.  Handlers raise and ``main`` maps each exception to its
+code; ``roundtrip`` maps its report to 2 and 1 itself, and ``discover``
+and ``abstract-log`` only warn of a log outside the restricted class.
 """
 from __future__ import annotations
 
@@ -80,11 +82,10 @@ _POSITIONALS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes only the flags its handler reads."""
-    fmt, out = (argparse.ArgumentParser(add_help=False) for _ in range(2))
-    fmt.add_argument(
-        "--format", choices=("text", "dot", "csv"), default="text",
-        help="output format (default: text)",
-    )
+    fmt, tree_fmt, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    for p, choices in (fmt, ("text", "dot", "csv")), (tree_fmt, ("text", "dot")):
+        p.add_argument("--format", choices=choices, default="text",
+                       help="output format (default: text)")
     out.add_argument("--out", metavar="DIR", help="write outputs into DIR instead of stdout")
 
     parser = _Parser(
@@ -93,10 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, positionals, flags, help_text in (
-        ("discover", cmd_discover, ["log"], [fmt, out], "discover a process tree from a log"),
+        ("discover", cmd_discover, ["log"], [tree_fmt, out], "discover a process tree from a log"),
         ("profile", cmd_profile, ["model"], [fmt, out], "behavioral profile of a model"),
         ("minlog", cmd_minlog, ["model"], [fmt, out], "minimal log of a model"),
-        ("abstract-model", cmd_abstract_model, ["model", "agg"], [fmt, out], "abstract a model"),
+        ("abstract-model", cmd_abstract_model, ["model", "agg"], [tree_fmt, out], "abstract a model"),
         ("abstract-log", cmd_abstract_log, ["log", "agg"], [fmt, out],
          "abstract a log in sync with its model"),
         ("roundtrip", cmd_roundtrip, ["log", "agg"], [out],
@@ -180,6 +181,11 @@ def _print_violations(report, label: str) -> None:
         print(f"  - [{rule}]{where} {msg}", file=sys.stderr)
 
 
+def _warn_unrestricted(check) -> None:
+    if not check.restricted:
+        _print_violations(check.report, "warning: log outside the restricted class")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -197,8 +203,7 @@ def cmd_discover(args) -> int:
     )
     if audit.detected:
         print(f"detected: {', '.join(audit.detected)}", file=sys.stderr)
-    if not check.restricted:
-        _print_violations(check.report, "warning: log outside the restricted class")
+    _warn_unrestricted(check)
     return EXIT_OK
 
 
@@ -239,10 +244,13 @@ def cmd_abstract_model(args) -> int:
 
 
 def cmd_abstract_log(args) -> int:
-    from .event_abstraction import ea_bpa
+    from .event_abstraction import synchronize
+    from .model_abstraction import plan
 
     log = _read_log(args.log)
-    abstracted = ea_bpa(log, _load_spec(args.agg))
+    spec = _load_spec(args.agg)
+    check = check_restricted(log)
+    abstracted = synchronize(log, plan(check.tree, spec))
     text, suffix = _log_text(abstracted, args.format)
     _emit(args, f"abstract_log.{suffix}", text)
     print(
@@ -250,33 +258,30 @@ def cmd_abstract_log(args) -> int:
         f"{abstracted.num_traces} traces, {abstracted.num_events} events",
         file=sys.stderr,
     )
+    _warn_unrestricted(check)
     return EXIT_OK
 
 
 def cmd_roundtrip(args) -> int:
     from .pipeline import roundtrip
 
-    log = _read_log(args.log)
-    spec = _load_spec(args.agg)
-    report = roundtrip(log, spec)
+    report = roundtrip(_read_log(args.log), _load_spec(args.agg))
 
-    print(f"discovered model ({size(report.model)} nodes): {render_tree(report.model)}")
-    print(f"restricted: {'yes' if report.restricted else 'no'}")
-    if not report.restricted:
-        _print_violations(report.restriction_report, "restriction violations")
-    print(f"applicable: {'yes' if report.applicability.in_class else 'no'}")
-    if not report.applicability.in_class:
-        _print_violations(report.applicability, "applicability violations")
+    check, gate, abstract_model = report.check, report.abstraction.report, report.abstraction.tree
+    print(f"discovered model ({size(check.tree)} nodes): {render_tree(check.tree)}")
+    print(f"restricted: {'yes' if check.restricted else 'no'}")
+    if not check.restricted:
+        _print_violations(check.report, "restriction violations")
+    print(f"applicable: {'yes' if gate.in_class else 'no'}")
+    if not gate.in_class:
+        _print_violations(gate, "applicability violations")
         return EXIT_GATE
 
-    assert report.abstract_model is not None
-    print(
-        f"abstracted model ({size(report.abstract_model)} nodes): "
-        f"{render_tree(report.abstract_model)}"
-    )
+    assert abstract_model is not None
+    print(f"abstracted model ({size(abstract_model)} nodes): {render_tree(abstract_model)}")
     if args.out:
-        _emit(args, "model.txt", render_tree(report.model))
-        _emit(args, "abstract_model.txt", render_tree(report.abstract_model))
+        _emit(args, "model.txt", render_tree(check.tree))
+        _emit(args, "abstract_model.txt", render_tree(abstract_model))
     if report.abstract_log is None:
         for line in report.failures:
             print(line, file=sys.stderr)
@@ -290,12 +295,11 @@ def cmd_roundtrip(args) -> int:
     print(f"rediscovered model: {render_tree(report.rediscovered)}")
     print(f"isomorphic: {'yes' if report.isomorphic else 'no'}")
     if args.out:
-        text, suffix = _log_text(report.abstract_log, "csv")
-        _emit(args, f"abstract_log.{suffix}", text)
+        _emit(args, "abstract_log.csv", _log_text(report.abstract_log, "csv")[0])
         _emit(args, "rediscovered_model.txt", render_tree(report.rediscovered))
     if not report.isomorphic:
         return EXIT_ERROR
-    return EXIT_OK if report.restricted else EXIT_GATE
+    return EXIT_OK if check.restricted else EXIT_GATE
 
 
 def cmd_verify(args) -> int:

@@ -293,10 +293,15 @@ def _reorder(source: tuple[str, ...], target: tuple[str, ...]) -> tuple[tuple[in
 # Full log abstraction
 # ---------------------------------------------------------------------------
 
-def ea_bpa(log: EventLog, spec: AggSpec) -> EventLog:
-    """Discover a model from the log, abstract it, and abstract the log in
-    sync with it."""
-    abstraction = plan(discover(log), spec)
+def synchronize(log: EventLog, abstraction: Abstraction) -> EventLog:
+    """The log abstracted in sync with the planned abstraction of its model:
+    the applicability gate (:class:`InapplicableError`), then both stages."""
     if not abstraction.report.in_class:
         raise InapplicableError(abstraction.report)
     return ea2(ea1(log, abstraction), abstraction.tree)
+
+
+def ea_bpa(log: EventLog, spec: AggSpec) -> EventLog:
+    """Discover a model from the log, abstract it, and abstract the log in
+    sync with it."""
+    return synchronize(log, plan(discover(log), spec))

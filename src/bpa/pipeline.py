@@ -1,10 +1,10 @@
 """End-to-end round trip and randomized verification.
 
-``roundtrip`` runs the full chain on one log: discover a model, check the
-restriction audit (informational — the chain continues either way), check
-applicability of the aggregation (a hard gate), abstract the model,
-abstract the log in sync, rediscover from the abstracted log, and compare
-the rediscovered tree with the abstracted model up to isomorphism.
+``roundtrip`` runs the full chain on one log: discover a model with the
+restriction audit (informational — the chain continues either way), plan
+its abstraction, abstract the log in sync (``synchronize``: the gate, then
+both stages), rediscover from it, and compare the rediscovered tree with
+the abstracted model up to isomorphism.  The report keeps audit and plan.
 
 ``check_instances`` runs the chain on instances from any source, each with
 its restriction audit and plan, and checks two more invariants: the
@@ -20,12 +20,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
-from .event_abstraction import MatchingError, ea1, ea2
+from .event_abstraction import MatchingError, synchronize
 from .logs import EventLog
 from .miner import RestrictionCheck, check_restricted, discover
 from .model_abstraction import (
     AggSpec,
     Abstraction,
+    InapplicableError,
     dump_agg_spec,
     group_violations,
     grouping_threshold,
@@ -35,7 +36,6 @@ from .model_abstraction import (
 from .profiles import behavioral_profile
 from .semantics import LogSizeError, minimal_log, ntl
 from .trees import (
-    ClassReport,
     ProcessTree,
     activities,
     isomorphic,
@@ -49,25 +49,15 @@ from .trees import (
 
 @dataclass(frozen=True)
 class RoundtripReport:
-    """Everything a round trip produced; later stages are None when an
-    earlier gate stopped the chain."""
+    """Everything a round trip produced from its audit and plan; later
+    stages are None when an earlier gate stopped the chain."""
 
-    model: ProcessTree
-    restricted: bool
-    restriction_report: ClassReport
+    check: RestrictionCheck
     abstraction: Abstraction
     abstract_log: EventLog | None = None
     rediscovered: ProcessTree | None = None
     isomorphic: bool | None = None
     failures: tuple[str, ...] = ()
-
-    @property
-    def applicability(self) -> ClassReport:
-        return self.abstraction.report
-
-    @property
-    def abstract_model(self) -> ProcessTree | None:
-        return self.abstraction.tree
 
 
 def roundtrip(log: EventLog, spec: AggSpec) -> RoundtripReport:
@@ -77,11 +67,11 @@ def roundtrip(log: EventLog, spec: AggSpec) -> RoundtripReport:
 
 def _roundtrip(log: EventLog, check: RestrictionCheck, abstraction: Abstraction) -> RoundtripReport:
     """The chain after the restriction audit and the plan of its tree."""
-    report = RoundtripReport(check.tree, check.restricted, check.report, abstraction)
-    if not abstraction.report.in_class:
-        return replace(report, failures=("aggregation not applicable to the discovered model",))
+    report = RoundtripReport(check, abstraction)
     try:
-        abstracted_log = ea2(ea1(log, abstraction), abstraction.tree)
+        abstracted_log = synchronize(log, abstraction)
+    except InapplicableError:
+        return replace(report, failures=("aggregation not applicable to the discovered model",))
     except MatchingError as exc:
         return replace(report, failures=(f"trace matching failed: {exc}",))
 
@@ -288,12 +278,12 @@ def check_instances(instances: Iterable[Instance]) -> VerificationSummary:
         report = _roundtrip(instance.log, instance.check, instance.abstraction)
         summary.instances += 1
         reasons = list(report.failures)
-        if report.abstract_model is not None:
-            if _profile_realized(report):
+        if report.abstraction.tree is not None:
+            if _profile_realized(report.abstraction):
                 summary.profile_checks += 1
             else:
                 reasons.append("abstracted model does not realize the derived profile")
-            if _counts_match(report.abstract_model):
+            if _counts_match(report.abstraction.tree):
                 summary.count_checks += 1
             else:
                 reasons.append("minimal log does not match the predicted trace count and lengths")
@@ -321,12 +311,11 @@ def render_summary(summary: VerificationSummary) -> str:
     return "\n".join(lines)
 
 
-def _profile_realized(report: RoundtripReport) -> bool:
+def _profile_realized(abstraction: Abstraction) -> bool:
     """The abstracted model's own behavioral profile must equal the profile
     derived from the concrete one."""
-    model = report.abstract_model
-    assert model is not None
-    return behavioral_profile(model) == report.abstraction.profile
+    assert abstraction.tree is not None
+    return behavioral_profile(abstraction.tree) == abstraction.profile
 
 
 def _counts_match(abstract_model: ProcessTree) -> bool:
@@ -347,7 +336,8 @@ def _counts_match(abstract_model: ProcessTree) -> bool:
 def _out_of_sync(report: RoundtripReport) -> bool:
     """Passed the restriction audit and the gate, then went out of sync: the one
     failure worth shrinking, since a gate refusal (the negative control) explains itself."""
-    return report.restricted and report.applicability.in_class and report.isomorphic is not True
+    passed = report.check.restricted and report.abstraction.report.in_class
+    return passed and report.isomorphic is not True
 
 
 def _record_failure(

@@ -202,7 +202,7 @@ def test_criterion_5_supporting_properties(criterion_corpus):
     with criterion("criterion 5: compression, rediscoverability, ordering, matching"):
         for inst in criterion_corpus:
             report = roundtrip(inst.log, inst.spec)
-            abstract = report.abstract_model
+            abstract = report.abstraction.tree
             assert abstract is not None
             reference = minimal_log(abstract)
             # the abstract model's minimal log is strictly smaller than the
@@ -215,7 +215,7 @@ def test_criterion_5_supporting_properties(criterion_corpus):
             assert isomorphic(discover(reference), abstract)
             # stage-one abstraction covers every reference bag with at
             # least as many traces, so a trace matching always exists
-            got = _signatures(ea1(inst.log, plan(report.model, inst.spec)))
+            got = _signatures(ea1(inst.log, plan(report.check.tree, inst.spec)))
             ref = _signatures(reference)
             assert set(got) == set(ref)
             assert all(got[key] >= ref[key] for key in ref)

@@ -240,12 +240,35 @@ def test_abstract_log_matching_failure(tmp_path, capsys):
     assert out.err == "trace matching failed: no reference trace with activities {X1:1}\n"
 
 
-def test_abstract_log_runs_no_audit_and_no_rediscovery(monkeypatch, claims_files, capsys):
+def test_abstract_log_runs_one_audited_discovery_and_no_rediscovery(
+    monkeypatch, claims_files, capsys
+):
     discovered = record_calls(monkeypatch, discover)
     audited = record_calls(monkeypatch, check_restricted)
     compared = record_calls(monkeypatch, isomorphic)
     assert main(["abstract-log", *claims_files]) == 0
-    assert (len(discovered), audited, compared) == (1, [], [])
+    assert (len(discovered), len(audited), compared) == (1, 1, [])
+
+
+def test_abstract_log_warns_as_discover_does(capsys):
+    log, agg = str(FIXTURES / "orders_log.txt"), str(FIXTURES / "orders_agg.json")
+    assert main(["discover", log]) == 0
+    warning = "warning: " + capsys.readouterr().err.partition("warning: ")[2]
+    assert warning.startswith("warning: log outside the restricted class:\n")
+    assert warning.count("\n  - [model-structure] at ") == 4
+    assert main(["abstract-log", log, agg]) == 0
+    out = capsys.readouterr()
+    assert out.out == "x7 RQ,OT,N,N,CT\nx2 RQ,DQ\n\n"
+    assert out.err == "9 traces, 57 events -> 9 traces, 39 events\n" + warning
+
+
+def test_abstract_log_of_a_restricted_log_warns_of_nothing(tmp_path, capsys):
+    inst = generate_instance(GenParams(seed=0))
+    log_path, agg_path = tmp_path / "log.txt", tmp_path / "agg.json"
+    log_path.write_text(format_compact(inst.log))
+    agg_path.write_text(dump_agg_spec(inst.spec))
+    assert main(["abstract-log", str(log_path), str(agg_path)]) == 0
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_verify_generation_error_is_an_error(monkeypatch, capsys):
@@ -547,6 +570,8 @@ FLAGS_READ = {
 }
 #: ``--attrs`` is read by none: a variant is always its event sequence
 FLAG_VALUES = {"--format": ["csv"], "--out": ["out"], "--attrs": [], "--seed": ["1"]}
+#: the subcommands whose output is a tree, which has no csv form
+TREE_OUTPUTS = ["discover", "abstract-model"]
 POSITIONALS = {
     "discover": ["log.txt"], "profile": ["seq(a,b)"], "minlog": ["seq(a,b)"],
     "abstract-model": ["seq(a,b)", "agg.json"], "abstract-log": ["log.txt", "agg.json"],
@@ -563,6 +588,14 @@ def test_subcommands_refuse_flags_they_do_not_read(capsys, command, flag):
         main([command, *POSITIONALS[command], flag, *FLAG_VALUES[flag]])
     assert exc.value.code == 1  # a usage error; 2 is the gate's code
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", TREE_OUTPUTS)
+def test_tree_outputs_refuse_csv(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *POSITIONALS[command], "--format", "csv"])
+    assert exc.value.code == 1
+    assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["abstract-log", "log.txt"], ["discover"], []])
@@ -715,6 +748,8 @@ def test_subcommands_accept_the_flags_they_read(tmp_path, claims_files, capsys, 
     }[command]
     out_dir = tmp_path / "out"
     values = {**FLAG_VALUES, "--out": [str(out_dir)]}
+    if command in TREE_OUTPUTS:
+        values["--format"] = ["dot"]
     flags = [item for f in sorted(FLAGS_READ[command]) for item in (f, *values[f])]
     assert main([command, *positionals, *flags]) in (0, 2)  # roundtrip: the restriction gate
     assert "error" not in capsys.readouterr().err

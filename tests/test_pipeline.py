@@ -12,10 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bpa.event_abstraction as event_abstraction
 import bpa.pipeline as pipeline
 from bpa import make_spec
-from bpa.event_abstraction import _reorder
-from bpa.logs import log_from_sequences
+from bpa.event_abstraction import _reorder, ea1, ea_bpa
+from bpa.cli import main
+from bpa.logs import format_compact, log_from_sequences
 from bpa.miner import check_restricted, discover
 from bpa.model_abstraction import (
     applicable,
@@ -63,17 +65,17 @@ def test_claims_roundtrip_synchronizes():
     report = roundtrip(build_claims_log(), make_spec(CLAIMS_GROUPS, Fraction(1, 2)))
     # the discovered model has activity children under a sequence node, so
     # the log is outside the restricted class; the chain still synchronizes
-    assert not report.restricted
-    assert report.applicability.in_class
+    assert not report.check.restricted
+    assert report.abstraction.report.in_class
     assert report.isomorphic is True
     assert report.failures == ()
-    assert isomorphic(report.abstract_model, parse_tree(CLAIMS_ABSTRACT))
+    assert isomorphic(report.abstraction.tree, parse_tree(CLAIMS_ABSTRACT))
     assert (report.abstract_log.num_traces, report.abstract_log.num_events) == (46, 318)
 
 
 def test_orders_roundtrip_synchronizes():
     report = roundtrip(log_from_sequences(ORDERS_TRACES), make_spec(ORDERS_GROUPS, Fraction(5, 9)))
-    assert not report.restricted
+    assert not report.check.restricted
     assert report.isomorphic is True
     assert (report.abstract_log.num_traces, report.abstract_log.num_events) == (9, 39)
 
@@ -81,7 +83,7 @@ def test_orders_roundtrip_synchronizes():
 def test_roundtrip_stops_at_the_applicability_gate():
     report = roundtrip(log_from_sequences([("a", "b", "c")]), make_spec({"X": ["a", "c"]}, Fraction(1, 2)))
     assert report.failures == ("aggregation not applicable to the discovered model",)
-    assert report.abstract_model is None
+    assert report.abstraction.tree is None
     assert report.abstract_log is None
     assert report.isomorphic is None
 
@@ -107,23 +109,25 @@ def test_roundtrip_reports_matching_failures():
         "trace matching failed: no reference trace with activities {a1:2, a8:1}",
     )
     assert report.isomorphic is None
-    assert report.abstract_model is not None  # model abstraction itself worked
+    assert report.abstraction.tree is not None  # model abstraction itself worked
     assert report.abstract_log is None
 
 
-def record_calls(monkeypatch, fn) -> list[tuple]:
-    """Wrap ``fn`` at every ``bpa`` submodule attribute naming it and return
-    the list the positional arguments of its calls are appended to.  The
-    package itself reads each name from its module, so it sees the wrapper;
-    patching it would leave the name bound there after the undo."""
+def record_calls(monkeypatch, fn, only=None) -> list[tuple]:
+    """Wrap ``fn`` at every ``bpa`` submodule attribute naming it, or at the
+    one of module ``only``, and return the list the positional arguments of
+    its calls are appended to.  The package itself reads each name from its
+    module, so it sees the wrapper; patching it would leave the name bound
+    there after the undo."""
     calls: list[tuple] = []
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("bpa.") and getattr(module, fn.__name__, None) is fn:
+    modules = [only] if only else [m for name, m in sys.modules.items() if name.startswith("bpa.")]
+    for module in modules:
+        if getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, wrapper)
     return calls
 
@@ -146,11 +150,27 @@ def test_roundtrip_computes_the_model_side_once(monkeypatch, which):
     weights = record_calls(monkeypatch, relation_weights)
     report = roundtrip(log, spec)
     assert report.isomorphic is True
-    assert [args[0] for args in profiles] == [report.model]
+    assert [args[0] for args in profiles] == [report.check.tree]
     assert len(mdts) == 1
     # every abstract pair is weighed on one table of the model's relations
-    assert [args[0] for args in codes] == [behavioral_profile(report.model)]
+    assert [args[0] for args in codes] == [behavioral_profile(report.check.tree)]
     assert weights == []
+
+
+@pytest.mark.parametrize("caller", ["ea_bpa", "roundtrip", "abstract-log"])
+def test_the_abstraction_chain_is_written_once(monkeypatch, tmp_path, capsys, caller):
+    # every caller reaches stage one through the one chain in
+    # event_abstraction, so a wrapper bound there alone sees its call
+    log, spec = roundtrip_input("claims")
+    stage_one = record_calls(monkeypatch, ea1, only=event_abstraction)
+    if caller == "abstract-log":
+        paths = tmp_path / "log.txt", tmp_path / "agg.json"
+        paths[0].write_text(format_compact(log))
+        paths[1].write_text(dump_agg_spec(spec))
+        assert main(["abstract-log", *map(str, paths)]) == 0
+    else:
+        {"ea_bpa": ea_bpa, "roundtrip": roundtrip}[caller](log, spec)
+    assert len(stage_one) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +425,7 @@ def test_shrinking_keeps_the_failure_and_never_grows():
     shrunk = _shrink(inst)
     assert size(shrunk.model) <= size(inst.model)
     report = roundtrip(shrunk.log, shrunk.spec)
-    assert report.applicability.in_class
+    assert report.abstraction.report.in_class
     assert report.isomorphic is not True
 
 
@@ -420,8 +440,8 @@ def test_shrinking_stays_in_the_restricted_class():
     shrunk = _shrink(inst)
     assert size(shrunk.model) < size(inst.model)
     report = roundtrip(shrunk.log, shrunk.spec)
-    assert report.restricted
-    assert report.applicability.in_class
+    assert report.check.restricted
+    assert report.abstraction.report.in_class
     assert report.isomorphic is not True
 
 
