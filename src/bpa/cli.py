@@ -250,6 +250,7 @@ def cmd_abstract_log(args) -> int:
     log = _read_log(args.log)
     spec = _load_spec(args.agg)
     check = check_restricted(log)
+    _warn_unrestricted(check)  # before the chain, which may fail
     abstracted = synchronize(log, plan(check.tree, spec))
     text, suffix = _log_text(abstracted, args.format)
     _emit(args, f"abstract_log.{suffix}", text)
@@ -258,7 +259,6 @@ def cmd_abstract_log(args) -> int:
         f"{abstracted.num_traces} traces, {abstracted.num_events} events",
         file=sys.stderr,
     )
-    _warn_unrestricted(check)
     return EXIT_OK
 
 

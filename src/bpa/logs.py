@@ -32,6 +32,8 @@ from itertools import chain
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .trees import _dot
+
 START = "▷"  # artificial start node of the DFG
 END = "◁"    # artificial end node of the DFG
 
@@ -211,16 +213,13 @@ def _dfg_edges(
     return edges, starts, ends
 
 
-def dfg_to_dot(g: DFG, name: str = "dfg") -> str:
-    ids = {n: f"n{i}" for i, n in enumerate(sorted(g.nodes))}
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for n, nid in ids.items():
-        shape = "doublecircle" if n in (START, END) else "box"
-        lines.append(f'  {nid} [label="{n}", shape={shape}];')
-    for x, y in sorted(g.edges):
-        lines.append(f"  {ids[x]} -> {ids[y]};")
-    lines.append("}")
-    return "\n".join(lines)
+def dfg_to_dot(g: DFG) -> str:
+    return _dot(
+        "dfg",
+        {n: (n, "doublecircle" if n in (START, END) else "box") for n in sorted(g.nodes)},
+        sorted(g.edges),
+        "rankdir=LR",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .trees import ProcessTree, require_class
+from .trees import ProcessTree, _dot, require_class
 
 STRICT = "->"
 INVERSE = "<-"
@@ -149,12 +149,5 @@ def order_relations_graph(profile: BehavioralProfile) -> OrderRelationsGraph:
     return OrderRelationsGraph(profile.activities, frozenset(edges))
 
 
-def graph_to_dot(g: OrderRelationsGraph, name: str = "order_relations") -> str:
-    ids = {v: f"n{i}" for i, v in enumerate(sorted(g.vertices))}
-    lines = [f"digraph {name} {{"]
-    for v, vid in ids.items():
-        lines.append(f'  {vid} [label="{v}", shape=box];')
-    for x, y in sorted(g.edges):
-        lines.append(f"  {ids[x]} -> {ids[y]};")
-    lines.append("}")
-    return "\n".join(lines)
+def graph_to_dot(g: OrderRelationsGraph) -> str:
+    return _dot("order_relations", {v: (v, "box") for v in sorted(g.vertices)}, sorted(g.edges))

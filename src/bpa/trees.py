@@ -382,28 +382,32 @@ def isomorphic(a: ProcessTree, b: ProcessTree) -> bool:
 # DOT export
 # ---------------------------------------------------------------------------
 
-def tree_to_dot(tree: ProcessTree, name: str = "process_tree") -> str:
-    """Graphviz digraph with one node per tree node."""
-    lines = [f"digraph {name} {{", "  node [shape=circle];"]
-    counter = 0
-
-    def emit(t: ProcessTree) -> str:
-        nonlocal counter
-        me = f"n{counter}"
-        counter += 1
-        if t.is_operator:
-            label = OPERATOR_SYMBOLS[t.label]
-            shape = "circle"
-        elif t.is_tau:
-            label, shape = TAU_SYMBOL, "circle"
-        else:
-            label, shape = t.label, "box"
-        lines.append(f'  {me} [label="{label}", shape={shape}];')
-        for c in t.children:
-            child = emit(c)
-            lines.append(f"  {me} -> {child};")
-        return me
-
-    emit(tree)
+def _dot(name: str, nodes: dict, edges: Iterable[tuple], *attrs: str) -> str:
+    """Graphviz DOT text of graph ``name``: its ``attrs`` lines, then one
+    node ``n<i>`` per entry ``key: (label, shape)`` of ``nodes`` in order,
+    then one edge per ``(key, key)`` pair of ``edges``."""
+    ids = {key: f"n{i}" for i, key in enumerate(nodes)}
+    lines = [f"digraph {name} {{", *(f"  {a};" for a in attrs)]
+    lines += (f'  {ids[k]} [label="{label}", shape={shape}];' for k, (label, shape) in nodes.items())
+    lines += (f"  {ids[x]} -> {ids[y]};" for x, y in edges)
     lines.append("}")
     return "\n".join(lines)
+
+
+def tree_to_dot(tree: ProcessTree) -> str:
+    """DOT text with one node per tree node, numbered in pre-order, and
+    every node before every edge."""
+    nodes: dict[int, tuple[str, str]] = {}
+    edges: list[tuple[int, int]] = []
+    stack: list[tuple[ProcessTree, int | None]] = [(tree, None)]
+    while stack:  # no recursion, so any depth renders
+        t, parent = stack.pop()
+        me = len(nodes)
+        if parent is not None:
+            edges.append((parent, me))
+        if t.is_operator:
+            nodes[me] = OPERATOR_SYMBOLS[t.label], "circle"
+        else:
+            nodes[me] = (TAU_SYMBOL, "circle") if t.is_tau else (t.label, "box")
+        stack.extend((c, me) for c in reversed(t.children))
+    return _dot("process_tree", nodes, edges, "node [shape=circle]")

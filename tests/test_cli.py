@@ -225,7 +225,11 @@ def test_abstract_log_gate_failure(tmp_path, capsys):
     assert main(["abstract-log", str(log), str(agg)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("aggregation not applicable:\n  - [aggregation-union]")
+    # the audit is printed before the chain runs, so a refused log shows it too
+    warning, gate = out.err.split("aggregation not applicable:\n")
+    assert warning.startswith("warning: log outside the restricted class:\n")
+    assert warning.count("\n  - [model-structure] at ") == 3
+    assert gate.startswith("  - [aggregation-union]")
 
 
 def test_abstract_log_matching_failure(tmp_path, capsys):
@@ -259,7 +263,7 @@ def test_abstract_log_warns_as_discover_does(capsys):
     assert main(["abstract-log", log, agg]) == 0
     out = capsys.readouterr()
     assert out.out == "x7 RQ,OT,N,N,CT\nx2 RQ,DQ\n\n"
-    assert out.err == "9 traces, 57 events -> 9 traces, 39 events\n" + warning
+    assert out.err == warning + "9 traces, 57 events -> 9 traces, 39 events\n"
 
 
 def test_abstract_log_of_a_restricted_log_warns_of_nothing(tmp_path, capsys):

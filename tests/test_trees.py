@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bpa.profiles import behavioral_profile
+from bpa.logs import dfg_of_log, dfg_to_dot
+from bpa.profiles import behavioral_profile, graph_to_dot, order_relations_graph
 from bpa.semantics import minimal_log, ntl
 import oracles
 from bpa.trees import (
@@ -349,6 +350,48 @@ def test_tree_to_dot_mentions_every_activity():
     assert dot.startswith("digraph")
     for label in ("a", "b", "→", "×", "τ"):  # operators render as glyphs
         assert label in dot
+
+
+def test_tree_to_dot_numbers_the_nodes_in_pre_order_before_the_edges():
+    assert tree_to_dot(parse_tree("seq(a,xor(b,tau))")) == (
+        "digraph process_tree {\n"
+        "  node [shape=circle];\n"
+        '  n0 [label="→", shape=circle];\n'
+        '  n1 [label="a", shape=box];\n'
+        '  n2 [label="×", shape=circle];\n'
+        '  n3 [label="b", shape=box];\n'
+        '  n4 [label="τ", shape=circle];\n'
+        "  n0 -> n1;\n"
+        "  n0 -> n2;\n"
+        "  n2 -> n3;\n"
+        "  n2 -> n4;\n"
+        "}"
+    )
+
+
+@pytest.mark.parametrize(
+    "render",
+    [
+        lambda t: tree_to_dot(t),
+        lambda t: dfg_to_dot(dfg_of_log(minimal_log(t))),
+        lambda t: graph_to_dot(order_relations_graph(behavioral_profile(t))),
+    ],
+    ids=["tree", "dfg", "order-relations"],
+)
+def test_every_dot_writer_lists_every_node_before_every_edge(render):
+    lines = render(parse_tree(ORDERS_DESIGNED)).splitlines()
+    nodes = [i for i, line in enumerate(lines) if "[label=" in line]
+    edges = [i for i, line in enumerate(lines) if " -> " in line]
+    assert nodes and edges and max(nodes) < min(edges)
+
+
+def test_tree_to_dot_renders_a_chain_of_any_depth():
+    # far deeper than parse_tree accepts; the writer does not recurse
+    tree = leaf("z")
+    for i in range(1_500):
+        tree = node(("seq", "xor")[i % 2], leaf(f"a{i}"), tree)
+    dot = tree_to_dot(tree)
+    assert dot.count(" -> ") == 3_000 and dot.count("shape=box") == 1_501
 
 
 fuzz_tree_texts = st.lists(
