@@ -10,7 +10,6 @@ property is not an artifact of one tree or aggregation shape.
 import argparse
 import textwrap
 import time
-from dataclasses import replace
 
 from bpa.pipeline import NEGATIVE_CONTROL, GenParams, render_summary, verify
 
@@ -30,9 +29,8 @@ SWEEP = (
 
 #: each distinct tree shape of ``SWEEP`` once, with the negative control's grouping
 CONTROL_SWEEP = tuple(dict.fromkeys(
-    replace(
-        NEGATIVE_CONTROL, max_depth=p.max_depth,
-        max_children=p.max_children, activity_budget=p.activity_budget,
+    NEGATIVE_CONTROL._replace(
+        max_depth=p.max_depth, max_children=p.max_children, activity_budget=p.activity_budget
     )
     for p in SWEEP
 ))

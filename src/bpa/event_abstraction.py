@@ -25,9 +25,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .logs import Event, EventLog, Trace, trace_activities
 from .miner import discover
@@ -45,8 +44,7 @@ class MatchingError(RuntimeError):
 # Kendall tau sequence distance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KendallResult:
+class KendallResult(NamedTuple):
     """Distance plus a witness: indices i of adjacent transpositions
     (i, i+1) that, applied left to right, turn the source into the
     target."""

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, NamedTuple
 
@@ -76,8 +75,7 @@ class InapplicableError(RuntimeError):
 # Aggregation specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AggSpec:
+class AggSpec(NamedTuple):
     """Aggregation mapping (abstract name -> concrete activities) plus the
     relation-weight threshold ``w_t``.  Carried as given; validity against a
     concrete model is the business of :func:`applicable`."""
@@ -347,8 +345,7 @@ def _derive(table: _Table, w_t: Fraction) -> BehavioralProfile:
 # Modular decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MDTNode:
+class MDTNode(NamedTuple):
     """A node of the modular decomposition tree: the vertex set of the
     module, its kind, and the child modules (which partition it)."""
 
@@ -452,8 +449,7 @@ def _synthesize(profile: BehavioralProfile, mdt: MDTNode) -> ProcessTree:
 # The abstraction plan: gate, abstract profile and abstracted tree at once
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Abstraction:
+class Abstraction(NamedTuple):
     """The model side of one abstraction, as computed by :func:`plan`.
 
     ``spec`` is the expanded aggregation and ``report`` the applicability

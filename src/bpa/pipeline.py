@@ -17,8 +17,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
 from itertools import islice
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .event_abstraction import MatchingError, synchronize
 from .logs import EventLog
@@ -47,8 +48,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(NamedTuple):
     """Everything a round trip produced from its audit and plan; later
     stages are None when an earlier gate stopped the chain."""
 
@@ -67,23 +67,18 @@ def roundtrip(log: EventLog, spec: AggSpec) -> RoundtripReport:
 
 def _roundtrip(log: EventLog, check: RestrictionCheck, abstraction: Abstraction) -> RoundtripReport:
     """The chain after the restriction audit and the plan of its tree."""
-    report = RoundtripReport(check, abstraction)
     try:
         abstracted_log = synchronize(log, abstraction)
     except InapplicableError:
-        return replace(report, failures=("aggregation not applicable to the discovered model",))
+        failure = "aggregation not applicable to the discovered model"
+        return RoundtripReport(check, abstraction, failures=(failure,))
     except MatchingError as exc:
-        return replace(report, failures=(f"trace matching failed: {exc}",))
+        return RoundtripReport(check, abstraction, failures=(f"trace matching failed: {exc}",))
 
     rediscovered = discover(abstracted_log)
     iso = isomorphic(rediscovered, abstraction.tree)
-    return replace(
-        report,
-        abstract_log=abstracted_log,
-        rediscovered=rediscovered,
-        isomorphic=iso,
-        failures=() if iso else ("rediscovered model is not isomorphic to the abstracted model",),
-    )
+    failures = () if iso else ("rediscovered model is not isomorphic to the abstracted model",)
+    return RoundtripReport(check, abstraction, abstracted_log, rediscovered, iso, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +95,7 @@ SHRINK_BUDGET = 60  # the most candidates the shrinker tries per failure
 MAX_BASE_TRACES = 400  # the most traces a generated tree's minimal log may have
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(NamedTuple):
     """Knobs for random instance generation.
 
     With ``allow_unrestricted`` the generator skips the restriction and
@@ -123,8 +117,7 @@ class GenParams:
 NEGATIVE_CONTROL = GenParams(allow_unrestricted=True, agg_group_count=1, agg_group_size=2)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A model, its log and an aggregation, with the restriction audit of
     the log and the plan of the audited tree; ``_instance`` makes it."""
 
@@ -240,8 +233,7 @@ def _random_spec(
 # Randomized verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FailureRecord:
+class FailureRecord(NamedTuple):
     seed: int
     model: str
     spec: str
@@ -250,13 +242,14 @@ class FailureRecord:
     shrunk_spec: str | None = None
 
 
-@dataclass
-class VerificationSummary:
-    instances: int = 0
-    profile_checks: int = 0
-    count_checks: int = 0
-    iso_checks: int = 0
-    failures: list[FailureRecord] = field(default_factory=list)
+class VerificationSummary(SimpleNamespace):
+    """The counts of one verification run and its failures; each summary
+    holds its own list of failures."""
+
+    def __init__(self, instances: int = 0, profile_checks: int = 0, count_checks: int = 0,
+                 iso_checks: int = 0, failures: Iterable[FailureRecord] = ()) -> None:
+        super().__init__(instances=instances, profile_checks=profile_checks,
+                         count_checks=count_checks, iso_checks=iso_checks, failures=[*failures])
 
     @property
     def ok(self) -> bool:
@@ -268,7 +261,7 @@ def verify(n: int, seed: int = 0, base: GenParams = GenParams()) -> Verification
     seed ``seed + i``, and ``base.seed`` is not read."""
     if n < 0:
         raise ValueError(f"number of instances must be at least 0, not {n}")
-    return check_instances(generate_instance(replace(base, seed=seed + i)) for i in range(n))
+    return check_instances(generate_instance(base._replace(seed=seed + i)) for i in range(n))
 
 
 def check_instances(instances: Iterable[Instance]) -> VerificationSummary:

@@ -14,8 +14,7 @@ gives ``+`` and ``and`` gives ``||``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .trees import ProcessTree, _dot, require_class
 
@@ -36,22 +35,27 @@ def mirror(relation: str) -> str:
     return _MIRROR[relation]
 
 
-@dataclass(frozen=True)
-class BehavioralProfile:
-    """Total relation assignment over ordered activity pairs."""
-
+class _ProfileFields(NamedTuple):
     activities: frozenset[str]
     relations: Mapping[tuple[str, str], str]
 
-    def __post_init__(self) -> None:
-        acts = sorted(self.activities)
+
+class BehavioralProfile(_ProfileFields):
+    """Total relation assignment over ordered activity pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, activities: frozenset[str],
+                relations: Mapping[tuple[str, str], str]) -> "BehavioralProfile":
+        acts = sorted(activities)
         for x in acts:
             for y in acts:
-                rel = self.relations.get((x, y))
+                rel = relations.get((x, y))
                 if rel not in RELATIONS:
                     raise ValueError(f"missing or invalid relation for ({x}, {y}): {rel!r}")
-                if self.relations[(y, x)] != mirror(rel):
+                if relations[(y, x)] != mirror(rel):
                     raise ValueError(f"relation of ({y}, {x}) does not mirror ({x}, {y})")
+        return super().__new__(cls, activities, relations)
 
     def relation(self, x: str, y: str) -> str:
         return self.relations[(x, y)]
@@ -124,8 +128,7 @@ def behavioral_profile(model: ProcessTree) -> BehavioralProfile:
 # Order-relations graph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderRelationsGraph:
+class OrderRelationsGraph(NamedTuple):
     """Directed graph with edges for strict order and (both ways) choice;
     parallel pairs contribute no edge, identity is excluded."""
 

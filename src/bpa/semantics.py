@@ -24,8 +24,8 @@ trace cap because interleaving counts grow multinomially.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, product
+from typing import NamedTuple
 
 from .logs import Event, EventLog, Trace
 from .trees import ProcessTree, require_class
@@ -37,16 +37,20 @@ class LogSizeError(RuntimeError):
     """Minimal-log construction would exceed the configured trace cap."""
 
 
-@dataclass(frozen=True)
-class NtlResult:
-    """Trace count and per-trace lengths of the minimal df-complete log."""
-
+class _NtlFields(NamedTuple):
     tr: int
     lens: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.tr != len(self.lens):
+
+class NtlResult(_NtlFields):
+    """Trace count and per-trace lengths of the minimal df-complete log."""
+
+    __slots__ = ()
+
+    def __new__(cls, tr: int, lens: tuple[int, ...]) -> "NtlResult":
+        if tr != len(lens):
             raise ValueError("tr must equal len(lens)")
+        return super().__new__(cls, tr, lens)
 
     @property
     def size(self) -> int:

@@ -683,6 +683,34 @@ def test_discover_loads_only_the_modules_it_runs():
     assert done.stdout.splitlines()[-2:] == ["[]", str(DISCOVER_MODULES)]
 
 
+#: one run of each subcommand besides ``discover`` on the fixtures, and its
+#: exit code: the orders log round-trips, but its discovered model is not restricted
+SUBCOMMAND_RUNS = {
+    "profile": (["profile", "fixtures/claims_model.txt"], 0),
+    "minlog": (["minlog", "fixtures/claims_model.txt"], 0),
+    "abstract-model": (["abstract-model", "fixtures/orders_model.txt", "fixtures/orders_agg.json"], 0),
+    "abstract-log": (["abstract-log", "fixtures/orders_log.txt", "fixtures/orders_agg.json"], 0),
+    "roundtrip": (["roundtrip", "fixtures/orders_log.txt", "fixtures/orders_agg.json"], 2),
+    "verify": (["verify", "-n", "1"], 0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
+def test_no_subcommand_loads_dataclasses(command):
+    # every record is a tuple record or a SimpleNamespace, so no run pays
+    # for dataclasses and the inspect module it loads
+    argv, code = SUBCOMMAND_RUNS[command]
+    script = (
+        "import sys, bpa.cli\n"
+        f"assert bpa.cli.main({argv!r}) == {code}\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], cwd=FIXTURES.parent,
+                          env=subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 #: a statement that raises in a handler, the exit code ``main`` maps it to
 #: (None: it propagates) and the stderr it prints
 HANDLER_ERRORS = {

@@ -5,7 +5,6 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -241,7 +240,7 @@ def test_generator_shapes_match_their_pinned_digests(count, size, unrestricted):
     params = GenParams(
         agg_group_count=count, agg_group_size=size, allow_unrestricted=unrestricted
     )
-    instances = (generate_instance(replace(params, seed=seed)) for seed in range(50))
+    instances = (generate_instance(params._replace(seed=seed)) for seed in range(50))
     assert corpus_digest(instances) == SHAPE_DIGESTS[count, size, unrestricted]
 
 
@@ -302,7 +301,7 @@ def test_generation_runs_the_shape_it_is_given(monkeypatch, params):
         generate_instance(params)
     # the negative control draws trees in the same shape
     with pytest.raises(AssertionError, match="a tree was drawn"):
-        generate_instance(replace(params, allow_unrestricted=True))
+        generate_instance(params._replace(allow_unrestricted=True))
 
 
 # ---------------------------------------------------------------------------
