@@ -14,6 +14,7 @@ fails the instance.  ``verify`` feeds it randomly generated instances.
 """
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from collections.abc import Iterable
@@ -294,7 +295,7 @@ def render_summary(summary: VerificationSummary) -> str:
         lines.append(f"FAIL seed={f.seed}: {f.reason}")
         for label, model, spec in ("", f.model, f.spec), ("shrunk ", f.shrunk_model, f.shrunk_spec):
             if model:
-                spec = spec.replace("\n", " ")
+                spec = json.dumps(json.loads(spec))  # the spec file's JSON on one line
                 lines += [f"  {label}model: {model}", f"  {label}agg:   {spec}"]
     lines.append(
         f"{summary.instances} instances: {summary.iso_checks} isomorphic, "

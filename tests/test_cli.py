@@ -376,19 +376,19 @@ def test_verify_negative_control_fails(capsys):
 VERIFY_NEGATIVE_CONTROL = """\
 FAIL seed=3: aggregation not applicable to the discovered model
   model: xor(a7,and(loop(a4,tau),seq(a9,a5,a2,loop(a11,tau),a1,a6)),loop(a10,tau),seq(and(a3,a8),a0))
-  agg:   {   "w_t": "1/2",   "X1": [     "a1",     "a7"   ] }
+  agg:   {"w_t": "1/2", "X1": ["a1", "a7"]}
 FAIL seed=4: aggregation not applicable to the discovered model
   model: seq(xor(seq(a3,xor(loop(a4,tau),a1,a6),xor(a7,a9)),loop(a0,tau),a5),and(a10,xor(a8,loop(a2,tau)),a11))
-  agg:   {   "w_t": "1/2",   "X1": [     "a0",     "a1"   ] }
+  agg:   {"w_t": "1/2", "X1": ["a0", "a1"]}
 FAIL seed=5: aggregation not applicable to the discovered model
   model: xor(seq(loop(a9,tau),xor(a4,loop(a5,tau))),a8,a0,seq(a6,and(a3,a1)),loop(a7,tau))
-  agg:   {   "w_t": "1/2",   "X1": [     "a3",     "a7"   ] }
+  agg:   {"w_t": "1/2", "X1": ["a3", "a7"]}
 FAIL seed=6: aggregation not applicable to the discovered model
   model: xor(a9,a1,a7,a4,a0)
-  agg:   {   "w_t": "1",   "X1": [     "a1",     "a4"   ] }
+  agg:   {"w_t": "1", "X1": ["a1", "a4"]}
 FAIL seed=7: aggregation not applicable to the discovered model
   model: and(a5,loop(a2,tau))
-  agg:   {   "w_t": "3/4",   "X1": [     "a2",     "a5"   ] }
+  agg:   {"w_t": "3/4", "X1": ["a2", "a5"]}
 5 instances: 0 isomorphic, 0 profile checks, 0 count checks, 5 failures
 """
 

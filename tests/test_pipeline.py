@@ -365,9 +365,9 @@ def test_verify_does_the_model_side_once_per_instance(monkeypatch):
 SHRUNK_SUMMARY = """\
 FAIL seed=1: trace matching failed: no reference trace with activities {X1:1, a1:1, a3:2}
   model: xor(seq(xor(a1,and(a8,a4,a0)),xor(a11,a10,a6),and(xor(loop(a3,tau),a5),a7)),a9)
-  agg:   {   "w_t": "5/9",   "X1": [     "a11",     "a5",     "a7"   ] }
+  agg:   {"w_t": "5/9", "X1": ["a11", "a5", "a7"]}
   shrunk model: seq(xor(a11,a6),and(a5,a7))
-  shrunk agg:   {   "w_t": "5/9",   "X1": [     "a11",     "a5",     "a7"   ] }
+  shrunk agg:   {"w_t": "5/9", "X1": ["a11", "a5", "a7"]}
 2 instances: 1 isomorphic, 2 profile checks, 2 count checks, 1 failures"""
 
 
