@@ -130,11 +130,14 @@ def load_agg_spec(text: str) -> AggSpec:
         raise ValueError("aggregation spec nests too deeply") from None
     if not isinstance(raw, dict) or "w_t" not in raw:
         raise ValueError("aggregation spec needs a 'w_t' entry")
-    value = str(raw.pop("w_t"))
+    value = raw.pop("w_t")
+    value = value if isinstance(value, str) else json.dumps(value)  # named as written
     try:
         w_t = Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"invalid w_t {value!r}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"invalid w_t {value!r}: not a rational number") from None
     groups = {}
     for name, members in raw.items():
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):

@@ -562,6 +562,18 @@ def test_abstract_model_refuses_invalid_group_names(tmp_path, capsys, name):
     assert out.err.startswith(f"error: aggregation group name '{name}' is not a valid activity name")
 
 
+@pytest.mark.parametrize(
+    "w_t, named", [(None, "null"), (True, "true"), ("nan", "nan"), ("abc", "abc")]
+)
+def test_abstract_model_names_a_threshold_that_is_not_a_fraction(tmp_path, capsys, w_t, named):
+    agg = tmp_path / "agg.json"
+    agg.write_text(json.dumps({"w_t": w_t, "X": ["b", "c", "d"]}))
+    assert main(["abstract-model", "seq(a,and(b,c,d),e)", str(agg)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: invalid w_t '{named}': not a rational number\n"
+
+
 #: the flags each subcommand reads; every other flag is a usage error
 FLAGS_READ = {
     "discover": {"--format", "--out"},
