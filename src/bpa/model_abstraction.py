@@ -31,7 +31,6 @@ like 1/2 and 5/9, where floats would betray us.
 from __future__ import annotations
 
 import json
-import logging
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, NamedTuple
 
@@ -60,7 +59,10 @@ from .trees import (
     render_tree,
 )
 
-logger = logging.getLogger(__name__)
+def _warn(fmt: str, *args: object) -> None:
+    import logging  # loaded only here: neither diagnostic fires at w_t <= w_minmax
+    logging.getLogger(__name__).warning(fmt, *args)
+
 
 class InapplicableError(RuntimeError):
     """The aggregation is not applicable to the model; carries the report."""
@@ -263,7 +265,7 @@ def _select(x: str, y: str, total: int, counts: tuple[int, int, int, int], w_t: 
         return INVERSE
     if parallel * q >= bar:
         return PARALLEL
-    logger.warning(
+    _warn(
         "no relation weight of (%s, %s) reaches w_t=%s (max %s); defaulting to parallel",
         x, y, w_t, Fraction(max(counts), total),
     )
@@ -331,7 +333,7 @@ def derive_profile(profile: BehavioralProfile, spec: AggSpec) -> BehavioralProfi
     weights tie."""
     table, limit = _weigh_spec(profile, spec)
     if spec.w_t > limit:
-        logger.warning(
+        _warn(
             "w_t=%s exceeds w_minmax=%s; the default branch may fire", spec.w_t, limit
         )
     return _derive(table, spec.w_t)

@@ -710,17 +710,37 @@ SUBCOMMAND_RUNS = {
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
 def test_no_subcommand_loads_dataclasses(command):
     # every record is a tuple record or a SimpleNamespace, so no run pays
-    # for dataclasses and the inspect module it loads
+    # for dataclasses and the inspect module it loads; and logging loads
+    # only when a weighing diagnostic fires, which no run here provokes
     argv, code = SUBCOMMAND_RUNS[command]
     script = (
         "import sys, bpa.cli\n"
         f"assert bpa.cli.main({argv!r}) == {code}\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'logging') if m in sys.modules))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], cwd=FIXTURES.parent,
                           env=subprocess_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_logging_loads_when_a_weighing_diagnostic_fires():
+    # pytest itself imports logging, so only a fresh interpreter shows
+    # that the warning, not the import of the library, loads it
+    script = (
+        "import sys, bpa.pipeline\n"
+        "print('logging' in sys.modules)\n"
+        "from fractions import Fraction\n"
+        "from bpa import behavioral_profile, derive_profile, make_spec, parse_tree\n"
+        "spec = make_spec({'B': ['b1', 'b2'], 'a': ['a']}, Fraction(2, 3))\n"
+        "derive_profile(behavioral_profile(parse_tree('and(seq(a,b2),b1)')), spec)\n"
+        "print('logging' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False", "True"]
+    assert "w_t=2/3 exceeds w_minmax=1/2; the default branch may fire" in done.stderr.splitlines()
 
 
 #: a statement that raises in a handler, the exit code ``main`` maps it to

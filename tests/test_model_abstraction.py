@@ -435,6 +435,15 @@ def test_derive_profile_warns_above_w_minmax(caplog):
     assert derived.relation("B", "a") == PARALLEL  # default branch fired
 
 
+def test_derive_profile_is_silent_at_w_minmax(caplog):
+    profile = behavioral_profile(parse_tree("and(seq(a,b2),b1)"))
+    spec = make_spec({"B": ["b1", "b2"], "a": ["a"]}, Fraction(1, 2))
+    assert w_minmax(profile, spec) == spec.w_t
+    with caplog.at_level(logging.WARNING, logger="bpa.model_abstraction"):
+        derive_profile(profile, spec)
+    assert caplog.records == []
+
+
 # ---------------------------------------------------------------------------
 # Modular decomposition
 # ---------------------------------------------------------------------------
@@ -730,6 +739,9 @@ def test_applicable_rejects_redefined_kept_activities():
 def test_applicable_threshold_range():
     assert "threshold" in rules("seq(a,b,c)", {"X": ["a", "b", "c"]}, Fraction(0))
     assert "threshold" in rules("seq(a,b,c)", {"X": ["a", "b", "c"]}, Fraction(3, 2))
+    # the range check, not the w_minmax check, refuses a threshold above 1
+    report = applicable(parse_tree("seq(a,b,c)"), make_spec({"X": ["a", "b", "c"]}, Fraction(3, 2)))
+    assert report.violations == (("threshold", "", "w_t=3/2 outside (0, 1]"),)
 
 
 def test_applicable_threshold_above_w_minmax():
