@@ -20,8 +20,9 @@ CSV
 
 Compact traces
     One trace per line: ``[xN ]act1,act2,...`` with an optional
-    multiplicity prefix.  A line ``xN `` with nothing after the space
-    denotes an empty trace; blank lines are ignored.
+    multiplicity prefix ``N >= 1``.  A line ``xN `` with nothing but spaces
+    after the space denotes an empty trace; blank lines are ignored.  An
+    empty activity name, as in ``a,,b`` or a trailing comma, is refused.
 """
 from __future__ import annotations
 
@@ -349,18 +350,23 @@ _MULT_RE = re.compile(r"^x(\d+) (.*)$")
 
 
 def read_compact(text: str) -> EventLog:
-    """Parse the compact one-trace-per-line format from a string."""
+    """Parse the compact one-trace-per-line format from a string.
+
+    An empty activity name or a multiplicity below 1 is a ``ValueError``
+    naming its 1-based line."""
     log = EventLog()
-    for line in text.splitlines():
+    for no, line in enumerate(text.splitlines(), 1):
         m = _MULT_RE.match(line)
-        if m:
-            count, rest = int(m.group(1)), m.group(2)
-        elif line.strip():
-            count, rest = 1, line
-        else:
+        if not (m or line.strip()):
             continue
-        acts = [a.strip() for a in rest.split(",") if a.strip()]
-        log.add(acts, count)
+        try:
+            count, rest = (int(m.group(1)), m.group(2)) if m else (1, line)
+            acts = [a.strip() for a in rest.split(",")] if rest.strip() else []
+            if "" in acts:
+                raise ValueError("empty activity name")
+            log.add(acts, count)
+        except ValueError as exc:
+            raise ValueError(f"compact line {no}: {exc}") from None
     return log
 
 

@@ -321,6 +321,24 @@ def test_compact_counts_empty_traces_and_skips_blank_lines():
     assert log.as_multiset() == {(): 3, ("a",): 1}
 
 
+@pytest.mark.parametrize("text, line", [
+    ("a,,b\n", 1), ("a,b,\n", 1), ("x2 ,\n", 1), ("a\n\n ,\n", 3), ("c\nx2  , a\n", 2),
+])
+def test_compact_refuses_empty_activity_names(text, line):
+    # a line of commas is no empty trace: that is written ``xN ``
+    with pytest.raises(ValueError, match=f"^compact line {line}: empty activity name$"):
+        read_compact(text)
+
+
+def test_compact_names_the_line_of_a_multiplicity_below_one():
+    with pytest.raises(ValueError, match="^compact line 2: multiplicity must be >= 1$"):
+        read_compact("a\nx0 a,b\n")
+
+
+def test_compact_empty_trace_may_have_trailing_spaces():
+    assert read_compact("x2   \na\n").as_multiset() == {(): 2, ("a",): 1}
+
+
 def test_event_logs_are_unhashable():
     # a value hash on a multiset that ``add`` mutates would lose set members
     with pytest.raises(TypeError):
