@@ -61,7 +61,7 @@ from .trees import (
 
 def _warn(fmt: str, *args: object) -> None:
     import logging  # loaded only here: neither diagnostic fires at w_t <= w_minmax
-    logging.getLogger(__name__).warning(fmt, *args)
+    logging.getLogger(__name__).warning(fmt, *args, stacklevel=2)
 
 
 class InapplicableError(RuntimeError):

@@ -435,6 +435,19 @@ def test_derive_profile_warns_above_w_minmax(caplog):
     assert derived.relation("B", "a") == PARALLEL  # default branch fired
 
 
+def test_weighing_warnings_name_the_function_that_warns(caplog):
+    # a logging format with %(funcName)s or %(lineno)d reads the call site,
+    # not the helper that imports logging
+    profile = behavioral_profile(parse_tree("and(seq(a,b2),b1)"))
+    spec = make_spec({"B": ["b1", "b2"], "a": ["a"]}, Fraction(2, 3))
+    with caplog.at_level(logging.WARNING, logger="bpa.model_abstraction"):
+        derive_profile(profile, spec)
+    assert {(r.name, r.levelname, r.funcName) for r in caplog.records} == {
+        ("bpa.model_abstraction", "WARNING", "derive_profile"),
+        ("bpa.model_abstraction", "WARNING", "_select"),
+    }
+
+
 def test_derive_profile_is_silent_at_w_minmax(caplog):
     profile = behavioral_profile(parse_tree("and(seq(a,b2),b1)"))
     spec = make_spec({"B": ["b1", "b2"], "a": ["a"]}, Fraction(1, 2))
