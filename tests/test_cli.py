@@ -415,16 +415,11 @@ def test_csv_row_without_activity_is_an_error(tmp_path, capsys):
     assert "error: CSV line 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, error", [
-    ("a,,b\nc\n", "compact line 1: empty activity name"),
-    ("a\n,,,\n", "compact line 2: empty activity name"),
-    ("x0 a,b\n", "compact line 1: multiplicity must be >= 1"),
-])
-def test_compact_log_errors_name_the_line(tmp_path, capsys, text, error):
+def test_compact_line_of_commas_is_an_error(tmp_path, capsys):
     path = tmp_path / "log.txt"
-    path.write_text(text)
+    path.write_text("a\n,,,\n")
     assert main(["discover", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {error}\n"
+    assert capsys.readouterr().err == "error: compact line 2: empty activity name\n"
 
 
 def test_csv_row_without_timestamp_is_an_error(tmp_path, capsys):

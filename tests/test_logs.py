@@ -321,18 +321,18 @@ def test_compact_counts_empty_traces_and_skips_blank_lines():
     assert log.as_multiset() == {(): 3, ("a",): 1}
 
 
-@pytest.mark.parametrize("text, line", [
-    ("a,,b\n", 1), ("a,b,\n", 1), ("x2 ,\n", 1), ("a\n\n ,\n", 3), ("c\nx2  , a\n", 2),
+@pytest.mark.parametrize("text, error", [
+    ("a,,b\n", "compact line 1: empty activity name"),
+    ("a,b,\n", "compact line 1: empty activity name"),
+    ("x2 ,\n", "compact line 1: empty activity name"),
+    ("a\n\n ,\n", "compact line 3: empty activity name"),  # no empty trace: that is ``xN ``
+    ("c\nx2  , a\n", "compact line 2: empty activity name"),
+    ("a\nx0 a,b\n", "compact line 2: multiplicity must be >= 1"),
 ])
-def test_compact_refuses_empty_activity_names(text, line):
-    # a line of commas is no empty trace: that is written ``xN ``
-    with pytest.raises(ValueError, match=f"^compact line {line}: empty activity name$"):
+def test_compact_errors_name_the_line(text, error):
+    with pytest.raises(ValueError) as exc:
         read_compact(text)
-
-
-def test_compact_names_the_line_of_a_multiplicity_below_one():
-    with pytest.raises(ValueError, match="^compact line 2: multiplicity must be >= 1$"):
-        read_compact("a\nx0 a,b\n")
+    assert str(exc.value) == error
 
 
 def test_compact_empty_trace_may_have_trailing_spaces():

@@ -751,7 +751,6 @@ def test_applicable_rejects_redefined_kept_activities():
 
 def test_applicable_threshold_range():
     assert "threshold" in rules("seq(a,b,c)", {"X": ["a", "b", "c"]}, Fraction(0))
-    assert "threshold" in rules("seq(a,b,c)", {"X": ["a", "b", "c"]}, Fraction(3, 2))
     # the range check, not the w_minmax check, refuses a threshold above 1
     report = applicable(parse_tree("seq(a,b,c)"), make_spec({"X": ["a", "b", "c"]}, Fraction(3, 2)))
     assert report.violations == (("threshold", "", "w_t=3/2 outside (0, 1]"),)
