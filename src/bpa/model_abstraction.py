@@ -22,8 +22,8 @@ abstract names to sets of concrete activities, and a rational threshold
 :func:`plan` runs the applicability gate and all three steps once, sharing
 one weight table and one decomposition tree.
 
-Every weighing reads the concrete relations as one table of integer codes
-(:func:`relation_codes`) and counts the pairs of two groups in one place.
+Every weighing reads the concrete profile's weak-order bitmasks and counts
+the pairs of two groups in one place.
 Weights are these counts, compared with ``w_t = p/q`` by cross-multiplication
 and exposed as exact ``Fraction`` values: thresholds sit at boundary values
 like 1/2 and 5/9, where floats would betray us.
@@ -161,30 +161,20 @@ def dump_agg_spec(spec: AggSpec) -> str:
 # Relation-weight derivation
 # ---------------------------------------------------------------------------
 
-#: A concrete pair (v, u) adds ``_BEFORE`` when v is weakly before u and
-#: ``_AFTER`` when u is weakly before v, so the codes of two groups sum to
-#: ``n_xy + n_yx * _AFTER``: a profile holding ``_AFTER`` pairs would not
-#: fit in memory.
-_BEFORE, _AFTER = 1, 1 << 32
-_CODES = {CHOICE: 0, STRICT: _BEFORE, INVERSE: _AFTER, PARALLEL: _BEFORE + _AFTER}
-
-_Codes = dict[str, dict[str, int]]
 #: per abstract pair: the number of concrete pairs and the choice, strict,
 #: inverse and parallel counts
 _Table = dict[tuple[str, str], tuple[int, tuple[int, int, int, int]]]
 
 
-def relation_codes(profile: BehavioralProfile) -> _Codes:
-    """The relations of a profile as codes, ``codes[v][u]``: the one input
-    every weighing reads."""
-    acts = sorted(profile.activities)
-    return {v: {u: _CODES[profile.relations[v, u]] for u in acts} for v in acts}
-
-
-def _weigh(codes: _Codes, gx: Collection[str], gy: Collection[str]) -> tuple[int, int, int]:
-    """``(n_xy, n_yx, total)`` of the concrete pairs (v, u) of two groups."""
-    packed = sum(codes[v][u] for v in gx for u in gy)
-    return packed % _AFTER, packed // _AFTER, len(gx) * len(gy)
+def _weigh(profile: BehavioralProfile, gx: Collection[str], gy: Collection[str]) -> tuple[int, int, int]:
+    """``(n_xy, n_yx, total)`` of the concrete pairs (v, u) of two groups,
+    read off the weak-order masks of the members of each."""
+    index, masks = profile.index, profile.masks
+    bx = sum(1 << index[v] for v in gx)
+    by = sum(1 << index[u] for u in gy)
+    n_xy = sum((masks[index[v]] & by).bit_count() for v in gx)
+    n_yx = sum((masks[index[u]] & bx).bit_count() for u in gy)
+    return n_xy, n_yx, len(gx) * len(gy)
 
 
 def _counts(n_xy: int, n_yx: int, total: int) -> tuple[int, int, int, int]:
@@ -193,13 +183,13 @@ def _counts(n_xy: int, n_yx: int, total: int) -> tuple[int, int, int, int]:
     return min(xnb, ynb), min(n_xy, ynb), min(n_yx, xnb), min(n_xy, n_yx)
 
 
-def _table(codes: _Codes, groups: list[tuple[str, Collection[str]]], weighed: int) -> _Table:
+def _table(profile: BehavioralProfile, groups: list[tuple[str, Collection[str]]], weighed: int) -> _Table:
     """The pairs of ``groups`` (self-pairs included) with one of the first
     ``weighed`` groups, keyed in the orientation of the list."""
     table = {}
     for i, (x, gx) in enumerate(groups[:weighed]):
         for y, gy in groups[i:]:
-            w = _weigh(codes, gx, gy)
+            w = _weigh(profile, gx, gy)
             table[x, y] = w[2], _counts(*w)
     return table
 
@@ -238,7 +228,7 @@ def relation_weights(
 ) -> RelationWeights:
     gx, gy = spec.agg[x], spec.agg[y]
     _check(profile, (gx, gy))
-    return RelationWeights(*_weigh(relation_codes(profile), gx, gy))
+    return RelationWeights(*_weigh(profile, gx, gy))
 
 
 def derive_ordering_relation(x: str, y: str, profile: BehavioralProfile, spec: AggSpec) -> str:
@@ -288,7 +278,7 @@ def _weigh_spec(profile: BehavioralProfile, spec: AggSpec) -> tuple[_Table, Frac
     if not groups:
         raise ValueError("empty aggregation")
     _check(profile, spec.agg.values())
-    table = _table(relation_codes(profile), groups, len(groups))
+    table = _table(profile, groups, len(groups))
     return table, _minmax(table)
 
 
@@ -300,9 +290,9 @@ def w_minmax(profile: BehavioralProfile, spec: AggSpec) -> Fraction:
 
 
 def grouping_threshold(
-    codes: _Codes, groups: Mapping[str, frozenset[str]], check_choices: bool
+    profile: BehavioralProfile, groups: Mapping[str, frozenset[str]], check_choices: bool
 ) -> Fraction | None:
-    """:func:`w_minmax` of ``groups`` with every other activity of ``codes``
+    """:func:`w_minmax` of ``groups`` with every other activity of ``profile``
     mapped to itself; with ``check_choices``, None when the cascade derives a
     false choice at that threshold.
 
@@ -314,8 +304,8 @@ def grouping_threshold(
     (their lowest common ancestor is not ``xor``), so the members of a pair
     co-occur exactly when its choice count is below its total."""
     grouped = set().union(*groups.values())
-    names = [*groups.items(), *((u, (u,)) for u in codes if u not in grouped)]
-    table = _table(codes, names, len(groups))
+    names = [*groups.items(), *((u, (u,)) for u in profile.index if u not in grouped)]
+    table = _table(profile, names, len(groups))
     limit = _minmax(table)
     if check_choices and any(
         x != y and counts[0] < total and _select(x, y, total, counts, limit) == CHOICE

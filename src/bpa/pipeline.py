@@ -33,7 +33,6 @@ from .model_abstraction import (
     group_violations,
     grouping_threshold,
     plan,
-    relation_codes,
 )
 from .profiles import behavioral_profile
 from .semantics import LogSizeError, minimal_log, ntl
@@ -217,14 +216,14 @@ def _random_spec(
     traces no reference trace can absorb), so the generator resamples them
     away, unless it makes the unrestricted negative control."""
     acts = sorted(activities(tree))
-    codes = relation_codes(behavioral_profile(tree))
+    profile = behavioral_profile(tree)
     for _ in range(10):
         chosen = rng.sample(acts, count * size)
         groups = {
             f"X{i + 1}": frozenset(chosen[i * size:(i + 1) * size])
             for i in range(count)
         }
-        w_t = grouping_threshold(codes, groups, check_choices=not unrestricted)
+        w_t = grouping_threshold(profile, groups, check_choices=not unrestricted)
         if w_t is not None:
             return AggSpec(agg=groups, w_t=w_t)
     return None

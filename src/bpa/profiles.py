@@ -4,19 +4,21 @@ Every ordered activity pair (including self-pairs) is classified from the
 *weak order* (eventually-follows) relation: ``x`` before ``y`` but never the
 reverse gives strict order ``->``; neither direction gives choice ``+``;
 both directions give parallel ``||``.  Self-pairs are ``||`` exactly when
-the activity can repeat (here: sits under a self-loop), else ``+``.
+the activity can repeat (here: sits under a self-loop), else ``+``.  A
+profile stores the weak order, one bitmask per activity over the sorted
+alphabet, so it is mirrored by construction.
 
 The computation is structural: in a duplicate-free tree the operator at
 the lowest common ancestor of two activities fixes their relation.  So each
 operator node relates the activities of every two of its children: a
-``seq`` node gives ``->`` from an earlier child to a later one, ``xor``
-gives ``+`` and ``and`` gives ``||``.
+``seq`` node puts an earlier child's activities weakly before a later
+child's, ``and`` puts them before each other's and ``xor`` puts none.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .trees import ProcessTree, _dot, require_class
+from .trees import ProcessTree, _dot, activities, require_class
 
 STRICT = "->"
 INVERSE = "<-"
@@ -27,8 +29,9 @@ RELATIONS = (STRICT, INVERSE, CHOICE, PARALLEL)
 
 _MIRROR = {STRICT: INVERSE, INVERSE: STRICT, CHOICE: CHOICE, PARALLEL: PARALLEL}
 
-#: relation of an operator's earlier child's activities to a later child's
-_NODE_RELATION = {"seq": STRICT, "xor": CHOICE, "and": PARALLEL}
+#: a relation by its two weak-order bits, ``x before y | (y before x) << 1``
+_SYMBOLS = (CHOICE, STRICT, INVERSE, PARALLEL)
+_BITS = {r: b for b, r in enumerate(_SYMBOLS)}
 
 
 def mirror(relation: str) -> str:
@@ -37,7 +40,8 @@ def mirror(relation: str) -> str:
 
 class _ProfileFields(NamedTuple):
     activities: frozenset[str]
-    relations: Mapping[tuple[str, str], str]
+    index: Mapping[str, int]  # position in the sorted alphabet
+    masks: tuple[int, ...]  # bit j of masks[i]: activity i weakly before activity j
 
 
 class BehavioralProfile(_ProfileFields):
@@ -48,44 +52,54 @@ class BehavioralProfile(_ProfileFields):
     def __new__(cls, activities: frozenset[str],
                 relations: Mapping[tuple[str, str], str]) -> "BehavioralProfile":
         acts = sorted(activities)
-        for x in acts:
-            for y in acts:
+        masks = [0] * len(acts)
+        for i, x in enumerate(acts):
+            for j, y in enumerate(acts):
                 rel = relations.get((x, y))
                 if rel not in RELATIONS:
                     raise ValueError(f"missing or invalid relation for ({x}, {y}): {rel!r}")
                 if relations[(y, x)] != mirror(rel):
                     raise ValueError(f"relation of ({y}, {x}) does not mirror ({x}, {y})")
-        return super().__new__(cls, activities, relations)
+                masks[i] |= (_BITS[rel] & 1) << j
+        return _profile(acts, masks)
 
     def relation(self, x: str, y: str) -> str:
-        return self.relations[(x, y)]
+        i, j = self.index[x], self.index[y]
+        return _SYMBOLS[(self.masks[i] >> j & 1) | (self.masks[j] >> i & 1) << 1]
 
     def pairs(self) -> Iterator[tuple[str, str]]:
         """Unordered pairs including self-pairs, lexicographically."""
-        acts = sorted(self.activities)
+        acts = list(self.index)
         for i, x in enumerate(acts):
             for y in acts[i:]:
                 yield x, y
 
     def matrix_tsv(self) -> str:
         """Relation matrix with symbols ``->``, ``<-``, ``+``, ``||``."""
-        acts = sorted(self.activities)
+        acts = list(self.index)
         lines = ["\t".join([""] + acts)]
         for x in acts:
-            lines.append("\t".join([x] + [self.relations[(x, y)] for y in acts]))
+            lines.append("\t".join([x] + [self.relation(x, y) for y in acts]))
         return "\n".join(lines) + "\n"
+
+
+def _profile(acts: list[str], masks: list[int]) -> BehavioralProfile:
+    """The profile of the sorted alphabet ``acts`` and its weak-order masks,
+    built without the checks of the public constructor."""
+    index = {a: i for i, a in enumerate(acts)}
+    return BehavioralProfile._make((frozenset(acts), index, tuple(masks)))
 
 
 def profile_from_function(acts, rel: Callable[[str, str], str]) -> BehavioralProfile:
     """Build a profile by evaluating ``rel`` once per unordered pair."""
     acts = sorted(set(acts))
-    relations: dict[tuple[str, str], str] = {}
+    masks = [0] * len(acts)
     for i, x in enumerate(acts):
-        for y in acts[i:]:
-            r = rel(x, y)
-            relations[(x, y)] = r
-            relations[(y, x)] = mirror(r)
-    return BehavioralProfile(frozenset(acts), relations)
+        for j in range(i, len(acts)):
+            bits = _BITS[rel(x, acts[j])]
+            masks[i] |= (bits & 1) << j
+            masks[j] |= (bits >> 1) << i
+    return _profile(acts, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -96,32 +110,30 @@ def behavioral_profile(model: ProcessTree) -> BehavioralProfile:
     """Profile of a duplicate-free tree in one recursion over its operator
     nodes: each relates the activities of every two of its children."""
     require_class(model, "C_c")
-    relations: dict[tuple[str, str], str] = {}
+    acts = sorted(activities(model))
+    index = {a: i for i, a in enumerate(acts)}
+    masks = [0] * len(acts)
 
-    def visit(t: ProcessTree) -> list[str]:
-        """The activities of ``t``, after relating its pairs."""
+    def visit(t: ProcessTree) -> list[int]:
+        """The positions of ``t``'s activities, after relating its pairs."""
         if not t.children:
-            if t.is_tau:
-                return []
-            relations[t.label, t.label] = CHOICE
-            return [t.label]
+            return [] if t.is_tau else [index[t.label]]
         if t.label == "loop":  # loop(v, tau) in C_c: v may repeat
-            v = t.children[0].label
-            relations[v, v] = PARALLEL
-            return [v]
-        rel = _NODE_RELATION[t.label]
-        back = mirror(rel)
-        acts: list[str] = []
-        for c in t.children:
-            later = visit(c)
-            for x in acts:
-                for y in later:
-                    relations[x, y] = rel
-                    relations[y, x] = back
-            acts += later
-        return acts
+            i = index[t.children[0].label]
+            masks[i] |= 1 << i
+            return [i]
+        kids = list(map(visit, t.children))
+        bits = [sum(1 << i for i in k) for k in kids]
+        later = whole = sum(bits)
+        for members, b in zip(kids, bits):
+            later -= b
+            grant = later if t.label == "seq" else whole - b if t.label == "and" else 0
+            for i in members:
+                masks[i] |= grant
+        return [i for k in kids for i in k]
 
-    return BehavioralProfile(frozenset(visit(model)), relations)
+    visit(model)
+    return _profile(acts, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +149,12 @@ class OrderRelationsGraph(NamedTuple):
 
 
 def order_relations_graph(profile: BehavioralProfile) -> OrderRelationsGraph:
-    edges: set[tuple[str, str]] = set()
-    for x, y in profile.pairs():
-        if x == y:
-            continue
-        rel = profile.relation(x, y)
-        if rel == STRICT:
-            edges.add((x, y))
-        elif rel == INVERSE:
-            edges.add((y, x))
-        elif rel == CHOICE:
-            edges.add((x, y))
-            edges.add((y, x))
-    return OrderRelationsGraph(profile.activities, frozenset(edges))
+    acts, masks = list(profile.index), profile.masks
+    edges = frozenset(  # y not weakly before x: x strictly before y, or in choice
+        (x, y) for i, x in enumerate(acts) for j, y in enumerate(acts)
+        if i != j and not masks[j] >> i & 1
+    )
+    return OrderRelationsGraph(profile.activities, edges)
 
 
 def graph_to_dot(g: OrderRelationsGraph) -> str:

@@ -27,7 +27,6 @@ from bpa.model_abstraction import (
     make_spec,
     modular_decomposition,
     plan,
-    relation_codes,
     relation_weights,
     w_minmax,
 )
@@ -383,11 +382,10 @@ def test_grouping_threshold_matches_the_fraction_oracle(count, size, rng, n_acti
     groups = {f"X{i + 1}": frozenset(chosen[i * size:(i + 1) * size]) for i in range(count)}
     spec = expand_spec(make_spec(groups, 1), names)
     limit = oracles.w_minmax(profile, spec)
-    codes = relation_codes(profile)
-    assert grouping_threshold(codes, groups, check_choices=False) == limit
+    assert grouping_threshold(profile, groups, check_choices=False) == limit
     # the false-choice check, on the full abstract profile and the traces
     holds = oracles.choices_hold(oracle_profile(profile, spec, limit), spec, traces)
-    assert grouping_threshold(codes, groups, check_choices=True) == (limit if holds else None)
+    assert grouping_threshold(profile, groups, check_choices=True) == (limit if holds else None)
 
 
 def test_w_minmax_anchors():

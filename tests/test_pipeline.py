@@ -19,13 +19,13 @@ from bpa.cli import main
 from bpa.logs import format_compact, log_from_sequences
 from bpa.miner import check_restricted, discover
 from bpa.model_abstraction import (
+    _weigh_spec,
     applicable,
     derive_profile,
     dump_agg_spec,
     expand_spec,
     modular_decomposition,
     plan,
-    relation_codes,
     relation_weights,
     w_minmax,
 )
@@ -145,14 +145,14 @@ def test_roundtrip_computes_the_model_side_once(monkeypatch, which):
     log, spec = roundtrip_input(which)
     profiles = record_calls(monkeypatch, behavioral_profile)
     mdts = record_calls(monkeypatch, modular_decomposition)
-    codes = record_calls(monkeypatch, relation_codes)
+    weighings = record_calls(monkeypatch, _weigh_spec)
     weights = record_calls(monkeypatch, relation_weights)
     report = roundtrip(log, spec)
     assert report.isomorphic is True
     assert [args[0] for args in profiles] == [report.check.tree]
     assert len(mdts) == 1
-    # every abstract pair is weighed on one table of the model's relations
-    assert [args[0] for args in codes] == [behavioral_profile(report.check.tree)]
+    # every abstract pair is weighed in one weighing of the model's profile
+    assert [args[0] for args in weighings] == [behavioral_profile(report.check.tree)]
     assert weights == []
 
 

@@ -1,5 +1,8 @@
 """Behavioral profiles: structural computation, the language-based oracle,
 and the order-relations graph."""
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,6 +166,20 @@ def test_structural_equals_lca_oracle_on_large_trees(rng, n):
     # beyond the language oracle's trace cap; skips add taus outside self-loops
     tree = with_skips(random_tree(rng, n_activities=n, max_children=4), rng)
     assert behavioral_profile(tree) == lca_profile(tree)
+
+
+def test_profile_memory_over_forty_activities():
+    # one weak-order bitmask per activity: 7.9 KB here; a relation entry per
+    # ordered pair took 166 KB
+    tree = random_tree(random.Random(40), n_activities=40)
+    tracemalloc.start()
+    try:
+        profile = behavioral_profile(tree)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(profile.activities) == 40
+    assert retained < 16_000
 
 
 # ---------------------------------------------------------------------------

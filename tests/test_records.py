@@ -120,7 +120,7 @@ def records(orders_log, orders_spec):
 
 #: each record of ``records`` and one of its fields
 RECORD_FIELDS = {
-    "Abstraction": "tree", "AggSpec": "w_t", "BehavioralProfile": "relations",
+    "Abstraction": "tree", "AggSpec": "w_t", "BehavioralProfile": "masks",
     "FailureRecord": "reason", "GenParams": "seed", "Instance": "model",
     "KendallResult": "distance", "MDTNode": "kind", "NtlResult": "tr",
     "OrderRelationsGraph": "edges", "RoundtripReport": "isomorphic",
@@ -150,7 +150,7 @@ def test_records_keep_their_reprs():
         "AggSpec(agg={'X': frozenset({'a'})}, w_t=Fraction(1, 2))"
     )
     assert repr(BehavioralProfile(frozenset({"a"}), {("a", "a"): CHOICE})) == (
-        "BehavioralProfile(activities=frozenset({'a'}), relations={('a', 'a'): '+'})"
+        "BehavioralProfile(activities=frozenset({'a'}), index={'a': 0}, masks=(0,))"
     )
     assert repr(OrderRelationsGraph(frozenset({"a"}), frozenset())) == (
         "OrderRelationsGraph(vertices=frozenset({'a'}), edges=frozenset())"
