@@ -72,8 +72,12 @@ _activity = operator.attrgetter("activity")
 def as_trace(items: Sequence[str | Event]) -> Trace:
     """Build a trace from activity names and/or events; a tuple that holds
     only events is a trace already and is returned as it is."""
-    if type(items) is tuple and set(map(type, items)) <= {Event}:
-        return items
+    if type(items) is tuple:
+        for e in items:
+            if type(e) is not Event:
+                break
+        else:
+            return items
     return tuple(e if isinstance(e, Event) else Event(e) for e in items)
 
 
@@ -350,12 +354,13 @@ _MULT_RE = re.compile(r"^x(\d+) (.*)$")
 
 
 def read_compact(text: str) -> EventLog:
-    """Parse the compact one-trace-per-line format from a string.
+    """Parse the compact one-trace-per-line format from a string.  Lines end
+    at ``\\n``, ``\\r\\n`` or ``\\r`` only, as in the CSV reader.
 
     An empty activity name or a multiplicity below 1 is a ``ValueError``
     naming its 1-based line."""
     log = EventLog()
-    for no, line in enumerate(text.splitlines(), 1):
+    for no, line in enumerate(re.split("\r\n|\r|\n", text), 1):
         m = _MULT_RE.match(line)
         if not (m or line.strip()):
             continue

@@ -328,6 +328,11 @@ def test_compact_counts_empty_traces_and_skips_blank_lines():
     ("a\n\n ,\n", "compact line 3: empty activity name"),  # no empty trace: that is ``xN ``
     ("c\nx2  , a\n", "compact line 2: empty activity name"),
     ("a\nx0 a,b\n", "compact line 2: multiplicity must be >= 1"),
+    # only \n, \r\n and \r end a line, as in the CSV reader
+    *((f"a,b{c}c\n,\n", "compact line 2: empty activity name")
+      for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    ("a\r\nb\r\n,\n", "compact line 3: empty activity name"),
+    ("a\r,\n", "compact line 2: empty activity name"),
 ])
 def test_compact_errors_name_the_line(text, error):
     with pytest.raises(ValueError) as exc:
