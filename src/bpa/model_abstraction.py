@@ -166,15 +166,18 @@ def dump_agg_spec(spec: AggSpec) -> str:
 _Table = dict[tuple[str, str], tuple[int, tuple[int, int, int, int]]]
 
 
-def _weigh(profile: BehavioralProfile, gx: Collection[str], gy: Collection[str]) -> tuple[int, int, int]:
-    """``(n_xy, n_yx, total)`` of the concrete pairs (v, u) of two groups,
-    read off the weak-order masks of the members of each."""
+def _group(profile: BehavioralProfile, g: Collection[str]) -> tuple[int, list[int]]:
+    """The bitmask of a group's members and their weak-order masks."""
     index, masks = profile.index, profile.masks
-    bx = sum(1 << index[v] for v in gx)
-    by = sum(1 << index[u] for u in gy)
-    n_xy = sum((masks[index[v]] & by).bit_count() for v in gx)
-    n_yx = sum((masks[index[u]] & bx).bit_count() for u in gy)
-    return n_xy, n_yx, len(gx) * len(gy)
+    return sum(1 << index[v] for v in g), [masks[index[v]] for v in g]
+
+
+def _weigh(gx: tuple[int, list[int]], gy: tuple[int, list[int]]) -> tuple[int, int, int]:
+    """``(n_xy, n_yx, total)`` of two groups: each one's members in the other's masks."""
+    (bx, mx), (by, my) = gx, gy
+    n_xy = sum(map(int.bit_count, map(by.__and__, mx)))
+    n_yx = sum(map(int.bit_count, map(bx.__and__, my)))
+    return n_xy, n_yx, len(mx) * len(my)
 
 
 def _counts(n_xy: int, n_yx: int, total: int) -> tuple[int, int, int, int]:
@@ -186,10 +189,10 @@ def _counts(n_xy: int, n_yx: int, total: int) -> tuple[int, int, int, int]:
 def _table(profile: BehavioralProfile, groups: list[tuple[str, Collection[str]]], weighed: int) -> _Table:
     """The pairs of ``groups`` (self-pairs included) with one of the first
     ``weighed`` groups, keyed in the orientation of the list."""
-    table = {}
-    for i, (x, gx) in enumerate(groups[:weighed]):
-        for y, gy in groups[i:]:
-            w = _weigh(profile, gx, gy)
+    table, rows = {}, [(x, _group(profile, g)) for x, g in groups]
+    for i, (x, gx) in enumerate(rows[:weighed]):
+        for y, gy in rows[i:]:
+            w = _weigh(gx, gy)
             table[x, y] = w[2], _counts(*w)
     return table
 
@@ -228,7 +231,7 @@ def relation_weights(
 ) -> RelationWeights:
     gx, gy = spec.agg[x], spec.agg[y]
     _check(profile, (gx, gy))
-    return RelationWeights(*_weigh(profile, gx, gy))
+    return RelationWeights(*_weigh(_group(profile, gx), _group(profile, gy)))
 
 
 def derive_ordering_relation(x: str, y: str, profile: BehavioralProfile, spec: AggSpec) -> str:

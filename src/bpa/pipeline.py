@@ -215,8 +215,8 @@ def _random_spec(
     the round trip supports (stage one would have to drop events, leaving
     traces no reference trace can absorb), so the generator resamples them
     away, unless it makes the unrestricted negative control."""
-    acts = sorted(activities(tree))
     profile = behavioral_profile(tree)
+    acts = list(profile.index)  # the sorted alphabet
     for _ in range(10):
         chosen = rng.sample(acts, count * size)
         groups = {

@@ -16,6 +16,7 @@ child's, ``and`` puts them before each other's and ``xor`` puts none.
 """
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .trees import ProcessTree, _dot, activities, require_class
@@ -24,8 +25,6 @@ STRICT = "->"
 INVERSE = "<-"
 CHOICE = "+"
 PARALLEL = "||"
-
-RELATIONS = (STRICT, INVERSE, CHOICE, PARALLEL)
 
 _MIRROR = {STRICT: INVERSE, INVERSE: STRICT, CHOICE: CHOICE, PARALLEL: PARALLEL}
 
@@ -56,7 +55,7 @@ class BehavioralProfile(_ProfileFields):
         for i, x in enumerate(acts):
             for j, y in enumerate(acts):
                 rel = relations.get((x, y))
-                if rel not in RELATIONS:
+                if rel not in _SYMBOLS:
                     raise ValueError(f"missing or invalid relation for ({x}, {y}): {rel!r}")
                 if relations[(y, x)] != mirror(rel):
                     raise ValueError(f"relation of ({y}, {x}) does not mirror ({x}, {y})")
@@ -67,12 +66,12 @@ class BehavioralProfile(_ProfileFields):
         i, j = self.index[x], self.index[y]
         return _SYMBOLS[(self.masks[i] >> j & 1) | (self.masks[j] >> i & 1) << 1]
 
+    def __reduce__(self):  # copy and pickle pass the fields, not the checked mapping
+        return type(self)._make, (tuple(self),)
+
     def pairs(self) -> Iterator[tuple[str, str]]:
         """Unordered pairs including self-pairs, lexicographically."""
-        acts = list(self.index)
-        for i, x in enumerate(acts):
-            for y in acts[i:]:
-                yield x, y
+        return combinations_with_replacement(self.index, 2)
 
     def matrix_tsv(self) -> str:
         """Relation matrix with symbols ``->``, ``<-``, ``+``, ``||``."""
@@ -84,8 +83,7 @@ class BehavioralProfile(_ProfileFields):
 
 
 def _profile(acts: list[str], masks: list[int]) -> BehavioralProfile:
-    """The profile of the sorted alphabet ``acts`` and its weak-order masks,
-    built without the checks of the public constructor."""
+    """The profile of sorted ``acts`` and their masks, without the checks."""
     index = {a: i for i, a in enumerate(acts)}
     return BehavioralProfile._make((frozenset(acts), index, tuple(masks)))
 
@@ -124,7 +122,7 @@ def behavioral_profile(model: ProcessTree) -> BehavioralProfile:
             return [i]
         kids = list(map(visit, t.children))
         bits = [sum(1 << i for i in k) for k in kids]
-        later = whole = sum(bits)
+        later = whole = sum(bits)  # the children's activities are disjoint
         for members, b in zip(kids, bits):
             later -= b
             grant = later if t.label == "seq" else whole - b if t.label == "and" else 0

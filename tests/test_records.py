@@ -2,6 +2,8 @@
 ``SimpleNamespace``: trees, class reports, graphs, audits, profiles, specs,
 plans, reports and verification records keep value semantics, their checks
 and their reprs."""
+import copy
+import pickle
 import re
 from fractions import Fraction
 
@@ -137,6 +139,14 @@ def test_a_record_cannot_be_assigned_to(records, name):
     with pytest.raises(AttributeError):
         record.note = "x"
     assert getattr(record, field) is kept
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_records_copy_and_pickle(records, name):
+    # a profile's constructor takes a relation mapping, not its mask fields
+    record = records[name]
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_records_keep_their_reprs():
