@@ -122,10 +122,7 @@ def ea1(log: EventLog, abstraction: Abstraction) -> EventLog:
             else:
                 out.append(event)
         runs.append((tuple(out), n))
-    result = EventLog()
-    for trace, n in delete_choice_activities(runs, abstraction):
-        result.add(trace, n)
-    return result
+    return EventLog._of_runs(delete_choice_activities(runs, abstraction))
 
 
 def _outcomes(abstraction: Abstraction, cover, acts: frozenset[str]) -> dict[str, tuple[Event, ...]]:
@@ -186,11 +183,16 @@ def delete_choice_activities(
     from their values after copies mod P.
     """
     sets = choice_sets(abstraction)
+    if not sets:
+        return runs
     ptrs = [0] * len(sets)
     out: list[tuple[Trace, int]] = []
     for trace, copies in runs:
         acts = {e.activity for e in trace}
         period = math.prod(len(m) for m in sets if len(acts.intersection(m)) >= 2)
+        if period == 1:  # the run offends no set: its copies pass as they are
+            out.append((trace, copies))
+            continue
         resume = None
         for i in range(min(copies, period)):
             if i == copies % period:
@@ -241,7 +243,7 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
         item = [index, trace, acts, n, _order_mask(acts)]
         pool_classes.setdefault(tuple(sorted(acts)), []).append(item)
     reorder = functools.cache(_reorder)  # variants may share a sequence
-    result = EventLog()
+    runs = []
     for sig, remaining in pool_classes.items():
         refs = ref_classes.pop(sig, None)
         if refs is None:
@@ -267,11 +269,11 @@ def ea2(abstracted: EventLog, model: ProcessTree) -> EventLog:
             for _, trace, acts, n in sorted(taken):
                 events = (trace[i].with_attrs(transposed="true") if moved else trace[i]
                           for i, moved in reorder(acts, ref_acts))
-                result.add(tuple(events), n)
+                runs.append((tuple(events), n))
     if ref_classes:
         acts = ", ".join(f"{a}:{n}" for a, n in Counter(next(iter(ref_classes))).items())
         raise MatchingError(f"reference traces with activities {{{acts}}} got no match")
-    return result
+    return EventLog._of_runs(runs)
 
 
 def _reorder(source: tuple[str, ...], target: tuple[str, ...]) -> tuple[tuple[int, bool], ...]:

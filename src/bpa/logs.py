@@ -95,7 +95,19 @@ class EventLog:
         for t in traces:
             self.add(t)
 
+    @classmethod
+    def _of_runs(cls, runs: Iterable[tuple[Trace, int]]) -> "EventLog":
+        """The log of ``(trace, copies)`` runs that need no checks: each trace
+        a tuple of events, each count an integer >= 1."""
+        log = cls.__new__(cls)
+        variants = log._variants = {}
+        for t, n in runs:
+            variants[t] = variants.get(t, 0) + n
+        return log
+
     def add(self, trace: Sequence[str | Event], count: int = 1) -> None:
+        if not isinstance(count, int):
+            raise ValueError(f"multiplicity must be an integer, not {count!r}")
         if count < 1:
             raise ValueError("multiplicity must be >= 1")
         t = as_trace(trace)
@@ -153,10 +165,7 @@ class EventLog:
 
     def union(self, other: "EventLog") -> "EventLog":
         """Multiset union (additive)."""
-        out = EventLog()
-        for t, c in chain(self.variants(), other.variants()):
-            out.add(t, c)
-        return out
+        return EventLog._of_runs(chain(self.variants(), other.variants()))
 
     __add__ = union
 

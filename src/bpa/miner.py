@@ -175,7 +175,7 @@ def _discover(
 
 
 def _project(variants, keep: frozenset[str]) -> list[tuple[str, ...]]:
-    return [tuple(a for a in v if a in keep) for v in variants]
+    return [tuple(filter(keep.__contains__, v)) for v in variants]
 
 
 def _choice_cut(alphabet, edges) -> list[frozenset[str]] | None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .profiles import (
     CHOICE,
@@ -130,6 +130,8 @@ def load_agg_spec(text: str) -> AggSpec:
         raw = json.loads(text)
     except RecursionError:
         raise ValueError("aggregation spec nests too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"aggregation spec is not JSON: {exc}") from None
     if not isinstance(raw, dict) or "w_t" not in raw:
         raise ValueError("aggregation spec needs a 'w_t' entry")
     value = raw.pop("w_t")
@@ -161,9 +163,10 @@ def dump_agg_spec(spec: AggSpec) -> str:
 # Relation-weight derivation
 # ---------------------------------------------------------------------------
 
-#: per abstract pair: the number of concrete pairs and the choice, strict,
+#: of an abstract pair: the number of concrete pairs and the choice, strict,
 #: inverse and parallel counts
-_Table = dict[tuple[str, str], tuple[int, tuple[int, int, int, int]]]
+_Weights = tuple[int, tuple[int, int, int, int]]
+_Table = dict[tuple[str, str], _Weights]
 
 
 def _group(profile: BehavioralProfile, g: Collection[str]) -> tuple[int, list[int]]:
@@ -186,15 +189,17 @@ def _counts(n_xy: int, n_yx: int, total: int) -> tuple[int, int, int, int]:
     return min(xnb, ynb), min(n_xy, ynb), min(n_yx, xnb), min(n_xy, n_yx)
 
 
-def _table(profile: BehavioralProfile, groups: list[tuple[str, Collection[str]]], weighed: int) -> _Table:
+def _table(
+    profile: BehavioralProfile, groups: list[tuple[str, Collection[str]]], weighed: int
+) -> Iterator[tuple[tuple[str, str], _Weights]]:
     """The pairs of ``groups`` (self-pairs included) with one of the first
-    ``weighed`` groups, keyed in the orientation of the list."""
-    table, rows = {}, [(x, _group(profile, g)) for x, g in groups]
+    ``weighed`` groups, keyed in the orientation of the list, each weighed
+    as it is reached."""
+    rows = [(x, _group(profile, g)) for x, g in groups]
     for i, (x, gx) in enumerate(rows[:weighed]):
         for y, gy in rows[i:]:
             w = _weigh(gx, gy)
-            table[x, y] = w[2], _counts(*w)
-    return table
+            yield (x, y), (w[2], _counts(*w))
 
 
 class RelationWeights(NamedTuple):
@@ -265,9 +270,9 @@ def _select(x: str, y: str, total: int, counts: tuple[int, int, int, int], w_t: 
     return PARALLEL
 
 
-def _minmax(table: _Table) -> Fraction:
+def _minmax(weights: Iterable[_Weights]) -> Fraction:
     top, total = 1, 1  # no weight exceeds 1
-    for n, counts in table.values():
+    for n, counts in weights:
         m = max(counts)
         if m * total < top * n:  # m / n < top / total
             top, total = m, n
@@ -281,8 +286,8 @@ def _weigh_spec(profile: BehavioralProfile, spec: AggSpec) -> tuple[_Table, Frac
     if not groups:
         raise ValueError("empty aggregation")
     _check(profile, spec.agg.values())
-    table = _table(profile, groups, len(groups))
-    return table, _minmax(table)
+    table = dict(_table(profile, groups, len(groups)))
+    return table, _minmax(table.values())
 
 
 def w_minmax(profile: BehavioralProfile, spec: AggSpec) -> Fraction:
@@ -305,17 +310,24 @@ def grouping_threshold(
     co-occur in a trace of the minimal log.  Two distinct activities of a
     duplicate-free tree co-occur there exactly when they are not in choice
     (their lowest common ancestor is not ``xor``), so the members of a pair
-    co-occur exactly when its choice count is below its total."""
+    co-occur exactly when its choice count is below its total.
+
+    Every pair's top weight is at least 1/2: of ``n_xy`` and its complement
+    one is at least half the total, as is one of ``n_yx`` and its
+    complement, and the weight that pairs those two is at least the lesser.
+    So ``w_minmax`` >= 1/2, and since the cascade tests choice first, a pair
+    derives choice at ``w_minmax`` exactly when its choice count is at least
+    half its total: such a choice weight is the pair's top weight, which
+    ``w_minmax`` does not exceed.  The weighing stops at the first pair
+    whose members co-occur and whose choice reaches half its total."""
     grouped = set().union(*groups.values())
     names = [*groups.items(), *((u, (u,)) for u in profile.index if u not in grouped)]
-    table = _table(profile, names, len(groups))
-    limit = _minmax(table)
-    if check_choices and any(
-        x != y and counts[0] < total and _select(x, y, total, counts, limit) == CHOICE
-        for (x, y), (total, counts) in table.items()
-    ):
-        return None
-    return limit
+    weights = []
+    for (x, y), (total, counts) in _table(profile, names, len(groups)):
+        if check_choices and x != y and total <= 2 * counts[0] < 2 * total:
+            return None
+        weights.append((total, counts))
+    return _minmax(weights)
 
 
 def derive_profile(profile: BehavioralProfile, spec: AggSpec) -> BehavioralProfile:

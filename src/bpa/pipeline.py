@@ -150,6 +150,7 @@ def generate_instance(params: GenParams) -> Instance:
         # a tree too small for the grouping is refused before its log is built
         if tree is None or len(activities(tree)) < count * size:
             continue
+        tree = normal_form(tree)
         try:
             ntl(tree, trace_cap=MAX_BASE_TRACES)
         except LogSizeError:
@@ -157,9 +158,8 @@ def generate_instance(params: GenParams) -> Instance:
         spec = _random_spec(tree, rng, count, size, params.allow_unrestricted)
         if spec is None:
             continue
-        log = EventLog()
-        for trace, n in minimal_log(tree, trace_cap=MAX_BASE_TRACES).variants():
-            log.add(trace, n * rng.randint(1, 10))
+        base = minimal_log(tree, trace_cap=MAX_BASE_TRACES)
+        log = EventLog._of_runs((trace, n * rng.randint(1, 10)) for trace, n in base.variants())
         inst = _instance(tree, log, spec, params.seed)
         if params.allow_unrestricted or inst.check.restricted and inst.abstraction.report.in_class:
             return inst
@@ -200,8 +200,7 @@ def _random_tree(rng: random.Random, params: GenParams) -> ProcessTree | None:
             return take_leaf() if allow_leaf else None
         return node(op, *kids)
 
-    tree = build(0, False)
-    return None if tree is None else normal_form(tree)
+    return build(0, False)  # the caller takes the normal form of a tree it keeps
 
 
 def _random_spec(

@@ -24,7 +24,7 @@ trace cap because interleaving counts grow multinomially.
 from __future__ import annotations
 
 import math
-from itertools import chain, product
+from itertools import chain, product, repeat
 from typing import NamedTuple
 
 from .logs import Event, EventLog, Trace
@@ -117,10 +117,7 @@ def _check_cap(count: int, cap: int) -> None:
 def minimal_log(tree: ProcessTree, trace_cap: int = DEFAULT_TRACE_CAP) -> EventLog:
     """Materialize ``L_m(M)``, traces in deterministic generation order."""
     ntl(tree, trace_cap=trace_cap)  # also performs the class check
-    log = EventLog()
-    for trace in _min_traces(tree):
-        log.add(trace)
-    return log
+    return EventLog._of_runs(zip(_min_traces(tree), repeat(1)))
 
 
 def _min_traces(t: ProcessTree) -> list[Trace]:

@@ -8,7 +8,10 @@ and compare the weights themselves, which is the direct reading of the
 cascade.  The spec generator weighs only the pairs with a group and reads
 co-occurrence off the concrete relations; the oracle generator derives the
 full abstract profile of every candidate and reads co-occurrence off the
-traces of the base log.
+traces of the base log.  The generator stops weighing a grouping at the
+first pair that shows a false choice, read off the pair alone;
+``grouping_threshold`` here weighs every pair first and runs the cascade
+on each at the table's ``w_minmax``, as the generator did before.
 
 The profiles: ``bpa`` relates the activities of every two children of
 each operator node in one recursion; ``lca_profile`` builds the root path
@@ -68,7 +71,16 @@ from bpa.event_abstraction import (
 )
 from bpa.logs import DFG, Event, EventLog, Trace, dfg_of_log
 from bpa.miner import DiscoveryAudit
-from bpa.model_abstraction import Abstraction, AggSpec, _synthesize, expand_spec, modular_decomposition
+from bpa.model_abstraction import (
+    Abstraction,
+    AggSpec,
+    _minmax,
+    _select,
+    _synthesize,
+    _table,
+    expand_spec,
+    modular_decomposition,
+)
 from bpa.profiles import (
     CHOICE,
     INVERSE,
@@ -508,6 +520,24 @@ def random_spec(
         if unrestricted or choices_hold(abstract, full, trace_sets):
             return AggSpec(agg=groups, w_t=w_t)
     return None
+
+
+def grouping_threshold(
+    profile: BehavioralProfile, groups: dict[str, frozenset[str]], check_choices: bool
+) -> Fraction | None:
+    """The spec generator's threshold as first written: every pair with a
+    group is weighed into one table before any pair is checked for a false
+    choice at the table's ``w_minmax``."""
+    grouped = set().union(*groups.values())
+    names = [*groups.items(), *((u, (u,)) for u in profile.index if u not in grouped)]
+    table = dict(_table(profile, names, len(groups)))
+    limit = _minmax(table.values())
+    if check_choices and any(
+        x != y and counts[0] < total and _select(x, y, total, counts, limit) == CHOICE
+        for (x, y), (total, counts) in table.items()
+    ):
+        return None
+    return limit
 
 
 def choices_hold(abstract: BehavioralProfile, full: AggSpec, trace_sets: list[set[str]]) -> bool:

@@ -347,6 +347,35 @@ def test_deletion_balances_frequencies(xor_ctx):
     assert counts == {"X": 5, "Y": 5}
 
 
+#: the choice sets {A, B, C} and {D, E}, none, or one
+DELETION_GRAPHS = [
+    (["A", "B", "C", "D", "E"], [*combinations("ABC", 2), ("D", "E")]),
+    (["A", "B", "C", "D", "E"], []),
+    (["A", "B", "C", "D", "E"], [("D", "E")]),
+]
+
+
+@given(
+    st.sampled_from(DELETION_GRAPHS),
+    st.lists(
+        st.tuples(st.lists(st.sampled_from("ABCDEk"), max_size=6), st.integers(1, 7)), max_size=8
+    ),
+)
+@example(DELETION_GRAPHS[0], [(list("AkD"), 3), (list("ABDE"), 7), (list("AB"), 5), (list("CBA"), 2)])
+@example(DELETION_GRAPHS[1], [(list("AB"), 2)])
+@settings(max_examples=200, deadline=None)
+def test_deletion_on_runs_matches_the_per_trace_oracle(graph, drawn):
+    # runs offending one set, two or none, each with 1-7 copies, against the
+    # oracle on the expanded traces: the same variants, counts and order
+    abstraction = choice_graph(*graph)
+    runs = [(tuple(map(Event, names)), copies) for names, copies in drawn]
+    out = delete_choice_activities(runs, abstraction)
+    want = oracles.delete_choice_activities([t for t, n in runs for _ in range(n)], abstraction)
+    assert EventLog(t for t, n in out for _ in range(n)).variants() == EventLog(want).variants()
+    if not choice_sets(abstraction):
+        assert out is runs
+
+
 # ---------------------------------------------------------------------------
 # Stage two on the worked examples
 # ---------------------------------------------------------------------------

@@ -93,6 +93,15 @@ def test_add_accumulates_counts():
     assert log.num_events == 6
 
 
+@pytest.mark.parametrize("count", [1.5, "2", None])
+def test_add_refuses_a_multiplicity_that_is_not_an_integer(count):
+    log = EventLog([("a",)])
+    with pytest.raises(ValueError) as exc:
+        log.add(["a", "b"], count)
+    assert str(exc.value) == f"multiplicity must be an integer, not {count!r}"
+    assert log.as_multiset() == {("a",): 1}
+
+
 def test_traces_expands_multiplicities():
     log = EventLog([("a",), ("a",), ("b",)])
     assert sorted(tuple(e.activity for e in t) for t in log.traces()) == [

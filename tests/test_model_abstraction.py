@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bpa import model_abstraction
 from bpa.model_abstraction import (
     AggSpec,
     InapplicableError,
@@ -119,6 +120,12 @@ def test_load_agg_spec_requires_threshold():
 def test_load_agg_spec_rejects_a_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         load_agg_spec('{"w_t": "1/0", "X": ["a", "b"]}')
+
+
+@pytest.mark.parametrize("text", ["", "w_t: 1/2", '{"w_t": "1/2",}'])
+def test_load_agg_spec_names_a_spec_that_is_not_json(text):
+    with pytest.raises(ValueError, match="^aggregation spec is not JSON: "):
+        load_agg_spec(text)
 
 
 def test_load_agg_spec_rejects_non_list_groups():
@@ -386,6 +393,27 @@ def test_grouping_threshold_matches_the_fraction_oracle(count, size, rng, n_acti
     # the false-choice check, on the full abstract profile and the traces
     holds = oracles.choices_hold(oracle_profile(profile, spec, limit), spec, traces)
     assert grouping_threshold(profile, groups, check_choices=True) == (limit if holds else None)
+
+
+def test_a_refused_grouping_stops_weighing_before_the_last_pair(monkeypatch):
+    # X1 = {b, c} is weighed with itself, a and d.  Against a, b comes after
+    # a and c excludes it: a and b co-occur while choice weighs 1/2, a false
+    # choice at any w_minmax.  The pair with d goes unweighed.
+    profile = behavioral_profile(parse_tree("xor(seq(a,b),c,d)"))
+    groups = {"X1": frozenset("bc")}
+    weighed, weigh = [], model_abstraction._weigh
+
+    def counted(gx, gy):
+        weighed.append(gy)
+        return weigh(gx, gy)
+
+    monkeypatch.setattr(model_abstraction, "_weigh", counted)
+    assert grouping_threshold(profile, groups, check_choices=False) == Fraction(1, 2)
+    assert len(weighed) == 3
+    weighed.clear()
+    assert grouping_threshold(profile, groups, check_choices=True) is None
+    assert len(weighed) == 2
+    assert oracles.grouping_threshold(profile, groups, check_choices=True) is None
 
 
 def test_w_minmax_anchors():

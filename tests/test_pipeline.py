@@ -24,6 +24,7 @@ from bpa.model_abstraction import (
     derive_profile,
     dump_agg_spec,
     expand_spec,
+    grouping_threshold,
     modular_decomposition,
     plan,
     relation_weights,
@@ -259,6 +260,22 @@ def test_spec_sampling_matches_the_full_profile_oracle(count, size, unrestricted
     want = oracles.random_spec(tree, base, random.Random(seed), count, size, unrestricted)
     got = pipeline._random_spec(tree, random.Random(seed), count, size, unrestricted)
     assert got == want
+
+
+@pytest.mark.parametrize("count, size", [(2, 2), (1, 3), (3, 2)])
+def test_grouping_threshold_matches_the_full_table_on_every_generator_draw(monkeypatch, count, size):
+    drawn = record_calls(monkeypatch, grouping_threshold, only=pipeline)
+    params = GenParams(agg_group_count=count, agg_group_size=size)
+    for seed in range(100):
+        generate_instance(params._replace(seed=seed))
+    assert len(drawn) > 100
+    refused = 0
+    for profile, groups in drawn:
+        for check_choices in (False, True):
+            want = oracles.grouping_threshold(profile, groups, check_choices)
+            assert grouping_threshold(profile, groups, check_choices) == want
+            refused += want is None
+    assert refused
 
 
 def test_generator_builds_no_log_for_a_tree_too_small_for_the_grouping(monkeypatch):
